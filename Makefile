@@ -3,7 +3,7 @@ GO ?= go
 # Kernel micro-benchmarks whose before/after numbers are tracked in
 # BENCH_PR1.json. The experiment benchmarks (BenchmarkTable*, BenchmarkFig*)
 # are much slower and run via `make bench-all`.
-KERNEL_BENCH = 'BenchmarkLoss(Naive|NegSampling|Rewritten)$$|BenchmarkLossRewrittenWorkers|BenchmarkHausdorffLoss|BenchmarkScoreSlab|BenchmarkMulBlocked|BenchmarkRank$$|BenchmarkSpectralInit|BenchmarkTrainEpoch|BenchmarkTopN(Alloc|Scratch|Batch)'
+KERNEL_BENCH = 'BenchmarkLoss(Naive|NegSampling|Rewritten)$$|BenchmarkLossRewrittenWorkers|BenchmarkHausdorffLoss|BenchmarkScoreSlab|BenchmarkMulBlocked|BenchmarkRank$$|BenchmarkSpectralInit|BenchmarkTrainEpoch|BenchmarkTopNScratch'
 
 .PHONY: build test race vet bench bench-all check gradcheck fuzz golden-update \
 	serve loadgen serve-bench serve-smoke resume-smoke crash-smoke bench-pr4 \
@@ -109,10 +109,9 @@ crash-smoke:
 	@echo "crash-smoke: resumed-after-crash model byte-identical to straight-through run"
 
 # Compact-serving end-to-end smoke: train an int8-quantized model, save it in
-# the v5 binary slab format, serve it via the zero-copy mmap loader with
-# request coalescing enabled, and drive a short closed-loop burst over HTTP.
-# Exercises the whole compact pipeline: quantize -> v5 save -> mmap load ->
-# coalesced batch scoring.
+# the v5 binary slab format, serve it via the zero-copy mmap loader, and
+# drive a short closed-loop burst over HTTP. Exercises the whole compact
+# pipeline: quantize -> v5 save -> mmap load -> int8 top-K scoring.
 QUANT_DIR ?= /tmp/tcss_quant_smoke
 QUANT_ADDR ?= 127.0.0.1:18093
 quant-smoke:
@@ -122,7 +121,7 @@ quant-smoke:
 	$(QUANT_DIR)/tcss -preset gmu-5k -rank 12 -epochs 40 -storage int8 \
 		-save-binary $(QUANT_DIR)/model.bin
 	$(QUANT_DIR)/tcss serve -preset gmu-5k -model $(QUANT_DIR)/model.bin -mmap \
-		-coalesce -addr $(QUANT_ADDR) & \
+		-addr $(QUANT_ADDR) & \
 	pid=$$!; \
 	up=0; for i in $$(seq 1 50); do \
 		curl -fsS http://$(QUANT_ADDR)/healthz >/dev/null 2>&1 && { up=1; break; }; \
@@ -134,7 +133,7 @@ quant-smoke:
 		-out $(QUANT_DIR)/quant_smoke.json; status=$$?; \
 	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
 	test $$status -eq 0 || { echo "quant-smoke: loadgen failed ($$status)"; exit 1; }
-	@echo "quant-smoke: int8 model saved (v5), mmap-served with coalescing, load OK"
+	@echo "quant-smoke: int8 model saved (v5), mmap-served, load OK"
 
 # Multi-model serving end-to-end smoke: train the TCSS tensor model plus an
 # STRNN sequential model in one process, serve with a 50/50 deterministic A/B
@@ -204,18 +203,15 @@ bench-pr9:
 	$(GO) run ./cmd/tcss replay -preset gmu-5k -weeks 8 -new-users 6 \
 		-epochs 40 -online-epochs 2 -compare-random -out BENCH_PR9.json
 
-# The PR 6 compact-serving benchmark: the TopN batch-vs-scratch kernel
-# comparison, then HTTP-level closed-loop runs with the response cache off —
-# coalescing off vs on — at a rank where slab traffic dominates. Numbers are
-# recorded in BENCH_PR6.json by hand (the JSON also keeps storage footprints
-# and the machine context).
+# The PR 6 compact-serving benchmark: the TopNScratch kernel, then an
+# HTTP-level closed-loop run with the response cache off at a rank where slab
+# traffic dominates. BENCH_PR6.json keeps the numbers recorded by hand when
+# this target also measured the since-removed request coalescing.
 bench-pr6:
-	$(GO) test -run '^$$' -bench 'BenchmarkTopN(Scratch|Batch)' \
+	$(GO) test -run '^$$' -bench 'BenchmarkTopNScratch' \
 		-benchmem -benchtime=3x -count=1 ./internal/core
 	$(GO) run ./cmd/loadgen -preset gowalla -rank 12 -conns 16 -duration 8s \
 		-observe-frac 0 -no-cache -out /tmp/bench_pr6_base.json
-	$(GO) run ./cmd/loadgen -preset gowalla -rank 12 -conns 16 -duration 8s \
-		-observe-frac 0 -no-cache -coalesce -out /tmp/bench_pr6_coalesce.json
 
 # Cluster serving end-to-end smoke: spawn a 4-shard × 2-replica local
 # cluster on a 1M-user deterministic synthetic model behind a tcssgw

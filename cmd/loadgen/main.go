@@ -62,11 +62,8 @@ type options struct {
 	retryCap    time.Duration
 	out         string
 
-	storage       string
-	coalesce      bool
-	coalesceWin   time.Duration
-	coalesceBatch int
-	noCache       bool
+	storage string
+	noCache bool
 
 	verify    bool
 	synthRank int
@@ -115,9 +112,6 @@ func main() {
 	flag.DurationVar(&o.retryCap, "retry-cap", 500*time.Millisecond, "ceiling on per-retry backoff (Retry-After is clamped to this)")
 	flag.StringVar(&o.out, "out", "BENCH_PR3.json", "output JSON path")
 	flag.StringVar(&o.storage, "storage", "", "self-host factor storage: f64 (default), f32, int8")
-	flag.BoolVar(&o.coalesce, "coalesce", false, "self-host with request coalescing (batched slab scoring)")
-	flag.DurationVar(&o.coalesceWin, "coalesce-window", 0, "coalescing window (0 = server default 200µs)")
-	flag.IntVar(&o.coalesceBatch, "coalesce-batch", 0, "coalescing flush threshold (0 = server default 32)")
 	flag.BoolVar(&o.noCache, "no-cache", false, "self-host with the response cache disabled (bench the scoring path)")
 	flag.BoolVar(&o.verify, "verify", false, "recompute every recommend response from the synthetic model and exit nonzero on any mismatch (requires -url against a -synth-* cluster with matching -users/-pois/-times/-synth-rank/-seed, and -observe-frac 0)")
 	flag.IntVar(&o.synthRank, "synth-rank", 8, "synthetic model embedding rank for -verify")
@@ -394,8 +388,8 @@ func checkServerModels(raw json.RawMessage, o options) error {
 	return nil
 }
 
-// printServerStats summarizes the model-storage and coalescing blocks of the
-// scraped /metrics document (the full document is embedded in the report).
+// printServerStats summarizes the model-storage block of the scraped
+// /metrics document (the full document is embedded in the report).
 func printServerStats(raw json.RawMessage) {
 	if raw == nil {
 		return
@@ -406,12 +400,6 @@ func printServerStats(raw json.RawMessage) {
 			FactorBytes  int64   `json:"factor_bytes"`
 			BytesPerUser float64 `json:"bytes_per_user"`
 		} `json:"model"`
-		Coalesce struct {
-			Enabled      bool    `json:"enabled"`
-			Batches      int64   `json:"batches"`
-			Requests     int64   `json:"requests"`
-			AvgBatchSize float64 `json:"avg_batch_size"`
-		} `json:"coalesce"`
 	}
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return
@@ -419,10 +407,6 @@ func printServerStats(raw json.RawMessage) {
 	if m.Model.Storage != "" {
 		fmt.Printf("server model: %s storage, %d factor bytes (%.1f per user)\n",
 			m.Model.Storage, m.Model.FactorBytes, m.Model.BytesPerUser)
-	}
-	if m.Coalesce.Enabled {
-		fmt.Printf("server coalesce: %d batches, %d requests, avg batch %.2f\n",
-			m.Coalesce.Batches, m.Coalesce.Requests, m.Coalesce.AvgBatchSize)
 	}
 }
 
@@ -477,14 +461,11 @@ func selfHost(o *options) (string, func(), error) {
 	o.users = rec.Model.I
 	o.pois = rec.Model.J
 	o.times = rec.Model.K
-	fmt.Printf("loadgen: serving %s storage, %d factor bytes (%.1f per user), coalesce=%v cache=%v\n",
+	fmt.Printf("loadgen: serving %s storage, %d factor bytes (%.1f per user), cache=%v\n",
 		rec.Model.Mode, rec.Model.FactorBytes(),
-		float64(rec.Model.FactorBytes())/float64(rec.Model.I), o.coalesce, !o.noCache)
+		float64(rec.Model.FactorBytes())/float64(rec.Model.I), !o.noCache)
 
 	opts := serve.Options{
-		Coalesce:       o.coalesce,
-		CoalesceWindow: o.coalesceWin,
-		CoalesceBatch:  o.coalesceBatch,
 		// An open-world drift feed needs the observe path to grow the model.
 		Grow: o.drift != "",
 	}
@@ -856,7 +837,6 @@ type benchReport struct {
 		Retries     int     `json:"retries"`
 		RetryCapMs  float64 `json:"retry_cap_ms"`
 		Storage     string  `json:"storage,omitempty"`
-		Coalesce    bool    `json:"coalesce"`
 		NoCache     bool    `json:"no_cache"`
 	} `json:"config"`
 	Recommend struct {
@@ -944,7 +924,6 @@ func (a *aggregate) report(o options, elapsed time.Duration) benchReport {
 	r.Config.Retries = o.retries
 	r.Config.RetryCapMs = float64(o.retryCap) / float64(time.Millisecond)
 	r.Config.Storage = o.storage
-	r.Config.Coalesce = o.coalesce
 	r.Config.NoCache = o.noCache
 
 	r.Recommend.OK = a.recOK

@@ -67,10 +67,6 @@ Flags:
 		grow        = fs.Bool("grow", false, "open-world mode: /v1/observe accepts new_users/new_pois and check-ins beyond the trained dimensions, growing the model in place")
 		halfLife    = fs.Float64("half-life", 0, "check-in decay half-life in observe steps; recent evidence outweighs stale (0 = no decay)")
 
-		coalesce      = fs.Bool("coalesce", false, "batch concurrent recommend requests through one factor-slab pass")
-		coalesceWin   = fs.Duration("coalesce-window", 0, "max wait for batch co-travellers (0 = server default 200µs)")
-		coalesceBatch = fs.Int("coalesce-batch", 0, "batch flush threshold (0 = server default 32)")
-
 		shardName     = fs.String("shard-name", "", "this node's shard name inside a cluster (enables 421 on non-owned users with -cluster-shards)")
 		clusterShards = fs.String("cluster-shards", "", "comma-separated shard names forming the consistent-hash ring")
 		vnodes        = fs.Int("vnodes", 0, "ring virtual nodes per shard (0 = default)")
@@ -333,9 +329,6 @@ Flags:
 		SnapshotPath:    *snapshot,
 		SnapshotKeep:    *snapKeep,
 		FirstGeneration: firstGen,
-		Coalesce:        *coalesce,
-		CoalesceWindow:  *coalesceWin,
-		CoalesceBatch:   *coalesceBatch,
 		ShardName:       *shardName,
 		MaxGenLag:       *maxGenLag,
 		Role:            role,

@@ -379,6 +379,28 @@ func TestLFBCAMassAndSocialStructure(t *testing.T) {
 	}
 }
 
+// TestLFBCAParallelRank ranks LFBCA from several eval workers at once: the
+// per-user PPR cache is shared by every worker, so it must be safe for
+// concurrent use (run under -race) and give the single-worker metrics.
+func TestLFBCAParallelRank(t *testing.T) {
+	fx := newFixture(12)
+	cfg := eval.Config{Negatives: 11, TopK: 3, Seed: 9}
+	serial := NewLFBCA()
+	if err := serial.Fit(fx.ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := eval.RankWorkers(serial, fx.test, fx.ctx.Train.DimJ, cfg, 1)
+	for _, workers := range []int{4, 8} {
+		l := NewLFBCA()
+		if err := l.Fit(fx.ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := eval.RankWorkers(l, fx.test, fx.ctx.Train.DimJ, cfg, workers); got != want {
+			t.Fatalf("workers=%d: %+v, single worker %+v", workers, got, want)
+		}
+	}
+}
+
 func TestScoreBeforeFit(t *testing.T) {
 	// The sequential models are servable (SeqServer): before Fit their Score
 	// returns 0 and the serving entry points surface ErrNotFitted, which the

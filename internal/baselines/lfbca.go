@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"fmt"
+	"sync"
 )
 
 // LFBCA (Wang et al., SIGSPATIAL 2013) is the location-friendship
@@ -28,8 +29,13 @@ type LFBCA struct {
 
 	numUsers, numPOIs int
 	adj               [][]weightedEdge
-	cache             map[int][]float64
+	outW              []float64 // total edge weight leaving each node
 	fit               bool
+
+	// cache holds each user's PPR vector. Score is called from parallel
+	// eval workers, so mu guards it.
+	mu    sync.Mutex
+	cache map[int][]float64
 }
 
 type weightedEdge struct {
@@ -100,23 +106,28 @@ func (l *LFBCA) Fit(ctx *Context) error {
 			}
 		}
 	}
+	l.outW = make([]float64, I+J)
+	for u, edges := range l.adj {
+		for _, e := range edges {
+			l.outW[u] += e.w
+		}
+	}
 	l.cache = make(map[int][]float64)
 	l.fit = true
 	return nil
 }
 
-// ppr runs the power iteration for one user and caches the result.
+// ppr runs the power iteration for one user and caches the result. The
+// iteration runs outside the lock; two workers racing on the same user
+// compute the same vector, and either may be kept.
 func (l *LFBCA) ppr(i int) []float64 {
-	if v, ok := l.cache[i]; ok {
+	l.mu.Lock()
+	v, ok := l.cache[i]
+	l.mu.Unlock()
+	if ok {
 		return v
 	}
 	n := len(l.adj)
-	outW := make([]float64, n)
-	for u, edges := range l.adj {
-		for _, e := range edges {
-			outW[u] += e.w
-		}
-	}
 	p := make([]float64, n)
 	next := make([]float64, n)
 	p[i] = 1
@@ -126,19 +137,21 @@ func (l *LFBCA) ppr(i int) []float64 {
 		}
 		next[i] += 1 - l.Alpha
 		for u, mass := range p {
-			if mass == 0 || outW[u] == 0 {
+			if mass == 0 || l.outW[u] == 0 {
 				// Dangling mass restarts.
 				next[i] += l.Alpha * mass
 				continue
 			}
-			scale := l.Alpha * mass / outW[u]
+			scale := l.Alpha * mass / l.outW[u]
 			for _, e := range l.adj[u] {
 				next[e.to] += scale * e.w
 			}
 		}
 		p, next = next, p
 	}
+	l.mu.Lock()
 	l.cache[i] = p
+	l.mu.Unlock()
 	return p
 }
 

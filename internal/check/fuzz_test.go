@@ -7,6 +7,7 @@ package check
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"tcss/internal/core"
@@ -113,8 +114,9 @@ func fuzzModel(seed uint64, i, j, k, rank int) *core.Model {
 
 // FuzzScoreSlabVsPredict asserts the scoring identities on random models:
 // the slab GEMM kernel and the candidate gather must agree with pointwise
-// Predict, the whole-data loss must be identical at any worker count,
-// non-negative, and produce finite gradients.
+// Predict, TopNScratch must agree with an exact sort of Score in every
+// storage mode, and the whole-data loss must be identical at any worker
+// count, non-negative, and produce finite gradients.
 func FuzzScoreSlabVsPredict(f *testing.F) {
 	f.Add(uint64(1), uint8(5), uint8(6), uint8(3), uint8(2))
 	f.Add(uint64(42), uint8(2), uint8(9), uint8(4), uint8(5))
@@ -124,16 +126,17 @@ func FuzzScoreSlabVsPredict(f *testing.F) {
 		rank := int(r%6) + 1
 		m := fuzzModel(seed, I, J, K, rank)
 
-		// ScoreSlab ≡ Predict pointwise (up to GEMM regrouping).
+		// ScoreSlabScratch ≡ Predict pointwise (up to GEMM regrouping).
 		slab := make([]float64, J*K)
+		scratch := make([]float64, 2*rank)
 		for i := 0; i < I; i++ {
-			m.ScoreSlab(i, slab)
+			m.ScoreSlabScratch(i, slab, scratch)
 			for j := 0; j < J; j++ {
 				for k := 0; k < K; k++ {
 					want := m.Predict(i, j, k)
 					got := slab[j*K+k]
 					if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
-						t.Fatalf("ScoreSlab[%d,%d,%d] = %g, Predict = %g", i, j, k, got, want)
+						t.Fatalf("ScoreSlabScratch[%d,%d,%d] = %g, Predict = %g", i, j, k, got, want)
 					}
 				}
 			}
@@ -153,6 +156,34 @@ func FuzzScoreSlabVsPredict(f *testing.F) {
 			if math.Abs(out[idx]-want) > 1e-12*(1+math.Abs(want)) {
 				t.Fatalf("ScoreCandidates[%d] = %g, Predict(%d,%d,%d) = %g", idx, out[idx], i, j, k, want)
 			}
+		}
+
+		// TopNScratch ≡ an exact sort of Score, in every storage mode, under a
+		// random skip list and zero-out filter. The factored kernel regroups
+		// Predict's multiplies, so scores agree to rounding and the POI order
+		// may differ only between scores that close.
+		filter := make([][]bool, I)
+		for u := range filter {
+			filter[u] = make([]bool, J)
+			for j := range filter[u] {
+				filter[u][j] = rng.intn(4) != 0
+			}
+		}
+		var skip []int
+		for j := 0; j < J; j++ {
+			if rng.intn(5) == 0 {
+				skip = append(skip, j)
+			}
+		}
+		n := rng.intn(J+2) + 1
+		for _, mode := range []core.StorageMode{core.StorageFloat64, core.StorageFloat32, core.StorageInt8} {
+			cm, err := m.ToStorage(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fm := *cm
+			fm.ZeroOutFilter = filter
+			checkTopNSorted(t, &fm, i, k, n, skip)
 		}
 
 		// Whole-data loss: non-negative, worker-count invariant, finite grads.
@@ -182,6 +213,49 @@ func FuzzScoreSlabVsPredict(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkTopNSorted compares TopNScratch(i, k, n, skip) against ranking every
+// allowed, non-skipped POI by Score with a full sort (score descending, POI
+// ascending): same length, each returned score within rounding of its POI's
+// Score, and rank by rank within rounding of the sorted scores.
+func checkTopNSorted(t *testing.T, m *core.Model, i, k, n int, skip []int) {
+	t.Helper()
+	skipped := map[int]bool{}
+	for _, j := range skip {
+		skipped[j] = true
+	}
+	var want []core.Recommendation
+	for j := 0; j < m.J; j++ {
+		if s := m.Score(i, j, k); !skipped[j] && !math.IsInf(s, -1) {
+			want = append(want, core.Recommendation{POI: j, Score: s})
+		}
+	}
+	sort.Slice(want, func(a, b int) bool {
+		if want[a].Score != want[b].Score {
+			return want[a].Score > want[b].Score
+		}
+		return want[a].POI < want[b].POI
+	})
+	if n < len(want) {
+		want = want[:n]
+	}
+	got := m.TopNScratch(i, k, n, skip, core.NewRecScratch(m))
+	if len(got) != len(want) {
+		t.Fatalf("%v TopNScratch(%d,%d,n=%d): %d results, sorted Score %d", m.Mode, i, k, n, len(got), len(want))
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*(1+math.Abs(b)) }
+	for p, rec := range got {
+		if skipped[rec.POI] || !m.ZeroOutFilter[i][rec.POI] {
+			t.Fatalf("%v TopNScratch rank %d returned excluded POI %d", m.Mode, p, rec.POI)
+		}
+		if s := m.Score(i, rec.POI, k); !near(rec.Score, s) {
+			t.Fatalf("%v TopNScratch rank %d POI %d score %g, Score %g", m.Mode, p, rec.POI, rec.Score, s)
+		}
+		if !near(rec.Score, want[p].Score) {
+			t.Fatalf("%v TopNScratch rank %d = %+v, sorted Score %+v", m.Mode, p, rec, want[p])
+		}
+	}
 }
 
 // FuzzHausdorffSymmetry asserts the social head's structural invariants on

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -79,6 +80,24 @@ type gatewayMetrics struct {
 	hedges         atomic.Int64 // hedge attempts fired
 	hedgeWins      atomic.Int64 // reads won by the hedged candidate
 	deadlineMissed atomic.Int64 // reads 504ed on a drained deadline budget
+	bodyTooLarge   atomic.Int64 // POST bodies 413ed for exceeding maxBodyBytes
+}
+
+// maxBodyBytes caps an inbound POST body (/v1/next sequences, /v1/observe
+// batches). It equals the shards' own cap in internal/serve, so the gateway
+// buffers no body a shard would refuse.
+const maxBodyBytes = 8 << 20
+
+// refuseOversize answers 413 if err is a read past maxBodyBytes and reports
+// whether it did.
+func (g *Gateway) refuseOversize(w http.ResponseWriter, err error) bool {
+	var tooLarge *http.MaxBytesError
+	if !errors.As(err, &tooLarge) {
+		return false
+	}
+	g.met.bodyTooLarge.Add(1)
+	g.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+	return true
 }
 
 // retryBudget is a token bucket charged for every failover or hedge attempt:
@@ -409,9 +428,11 @@ func (g *Gateway) serveRead(w http.ResponseWriter, r *http.Request) {
 	}
 	var body []byte
 	if r.Method == http.MethodPost {
-		body, err = io.ReadAll(r.Body)
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
-			g.writeError(w, http.StatusBadRequest, "reading body: %v", err)
+			if !g.refuseOversize(w, err) {
+				g.writeError(w, http.StatusBadRequest, "reading body: %v", err)
+			}
 			return
 		}
 	}
@@ -610,8 +631,10 @@ type gwObserveResponse struct {
 // into 502 while still reporting the shards that succeeded.
 func (g *Gateway) serveObserve(w http.ResponseWriter, r *http.Request) {
 	var req gwObserveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		g.writeError(w, http.StatusBadRequest, "decoding body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		if !g.refuseOversize(w, err) {
+			g.writeError(w, http.StatusBadRequest, "decoding body: %v", err)
+		}
 		return
 	}
 	if len(req.CheckIns) == 0 && len(req.NewUsers) == 0 && len(req.NewPOIs) == 0 {

@@ -1,6 +1,11 @@
 package cluster
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -78,5 +83,66 @@ func TestRetryBudgetRefill(t *testing.T) {
 	}
 	if b.allow(now) {
 		t.Fatal("bucket exceeded its burst cap after idling")
+	}
+}
+
+// TestGatewayBodyCap: an inbound POST body of exactly maxBodyBytes is
+// forwarded, and one byte more is refused with 413 before any shard sees it.
+func TestGatewayBodyCap(t *testing.T) {
+	var forwarded atomic.Int64
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			forwarded.Add(1)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"added":1}`))
+	}))
+	defer shard.Close()
+	g, err := NewGateway([]ShardSet{{Name: "s0", Primary: shard.URL}}, GatewayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+
+	// pad fills a JSON object body with spaces before its closing brace.
+	pad := func(body string, size int) string {
+		return body[:len(body)-1] + strings.Repeat(" ", size-len(body)) + "}"
+	}
+	const next = `{"checkins":[{"poi":1,"t":0}]}`
+	const observe = `{"checkins":[{"user":1,"poi":2,"month":1}]}`
+	cases := []struct {
+		name, path, body string
+		size, want       int
+	}{
+		{"next at cap", "/v1/next?user=1", next, maxBodyBytes, http.StatusOK},
+		{"next over cap", "/v1/next?user=1", next, maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+		{"observe at cap", "/v1/observe", observe, maxBodyBytes, http.StatusOK},
+		{"observe over cap", "/v1/observe", observe, maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(gw.URL+c.path, "application/json", strings.NewReader(pad(c.body, c.size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
+		}
+	}
+	if n := forwarded.Load(); n != 2 {
+		t.Fatalf("shard saw %d POSTs, want the 2 bodies at the cap", n)
+	}
+	resp, err := http.Get(gw.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var met clusterMetrics
+	if err := json.NewDecoder(resp.Body).Decode(&met); err != nil {
+		t.Fatal(err)
+	}
+	if met.Gateway.BodyTooLarge != 2 {
+		t.Fatalf("gateway body_too_large_413 %d, want 2", met.Gateway.BodyTooLarge)
 	}
 }

@@ -167,6 +167,7 @@ type clusterMetrics struct {
 		Hedges               int64 `json:"hedges"`
 		HedgeWins            int64 `json:"hedge_wins"`
 		DeadlineMissed       int64 `json:"deadline_504"`
+		BodyTooLarge         int64 `json:"body_too_large_413"`
 	} `json:"gateway"`
 
 	PerEndpoint []endpointMetrics `json:"per_endpoint"`
@@ -349,6 +350,7 @@ func (g *Gateway) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	out.Gateway.Hedges = g.met.hedges.Load()
 	out.Gateway.HedgeWins = g.met.hedgeWins.Load()
 	out.Gateway.DeadlineMissed = g.met.deadlineMissed.Load()
+	out.Gateway.BodyTooLarge = g.met.bodyTooLarge.Load()
 
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)

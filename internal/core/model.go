@@ -39,9 +39,10 @@ type Model struct {
 
 	// Mode selects the factor storage representation. In StorageFloat64 the
 	// U1/U2/U3 matrices above hold the factors and Compact is nil; in the
-	// compact modes U1/U2/U3 are nil and Compact holds the slabs. All
-	// scoring entry points dispatch on Mode; training and online updates
-	// require StorageFloat64 (see ToStorage / Decompress).
+	// compact modes U1/U2/U3 are nil and Compact holds the slabs. Predict,
+	// Score, ScoreCandidates and TopNScratch dispatch on Mode; training,
+	// online updates and ScoreSlabScratch require StorageFloat64 (see
+	// ToStorage / Decompress).
 	Mode    StorageMode
 	Compact *compactFactors
 
@@ -96,89 +97,71 @@ func (m *Model) Score(i, j, k int) float64 {
 	return m.Predict(i, j, k)
 }
 
-// ScoreSlab fills out (length J·K, laid out as out[j*K+k]) with the raw
-// prediction slice X̂[i,·,·] of Eq (6), computed as the dense slab product
-// U2 · diag(h ⊙ U1ᵢ) · U3ᵀ instead of J·K scalar Predict calls. It allocates
-// a small rank-sized scratch; hot loops that score many users should use
-// ScoreSlabScratch with a reused buffer. The kernel's four-way accumulation
-// regroups additions, so entries match Predict to O(machine epsilon), not
-// bit-for-bit.
-func (m *Model) ScoreSlab(i int, out []float64) {
-	m.ScoreSlabScratch(i, out, make([]float64, 2*m.Rank))
-}
-
-// ScoreSlabScratch is ScoreSlab with a caller-owned scratch buffer of length
-// at least 2·Rank, enabling allocation-free per-worker scoring.
+// ScoreSlabScratch fills out (length J·K, laid out as out[j*K+k]) with the
+// raw prediction slice X̂[i,·,·] of Eq (6), computed as the dense slab product
+// U2 · diag(h ⊙ U1ᵢ) · U3ᵀ instead of J·K scalar Predict calls. scratch is a
+// caller-owned buffer of length at least 2·Rank, so per-worker scoring is
+// allocation-free. The kernel's four-way accumulation regroups additions, so
+// entries match Predict to O(machine epsilon), not bit-for-bit. It serves the
+// float64 Hausdorff training head and requires float64 storage; the compact
+// modes are serving formats, scored through TopNScratch.
 func (m *Model) ScoreSlabScratch(i int, out, scratch []float64) {
+	if m.Mode != StorageFloat64 {
+		panic(fmt.Sprintf("core: ScoreSlabScratch needs f64 storage, model is %v", m.Mode))
+	}
 	if len(out) != m.J*m.K {
-		panic(fmt.Sprintf("core: ScoreSlab out length %d, want %d", len(out), m.J*m.K))
+		panic(fmt.Sprintf("core: ScoreSlabScratch out length %d, want %d", len(out), m.J*m.K))
 	}
 	if len(scratch) < 2*m.Rank {
-		panic(fmt.Sprintf("core: ScoreSlab scratch length %d, want >= %d", len(scratch), 2*m.Rank))
+		panic(fmt.Sprintf("core: ScoreSlabScratch scratch length %d, want >= %d", len(scratch), 2*m.Rank))
 	}
 	w := scratch[:m.Rank]
-	if m.Mode == StorageFloat64 {
-		mat.HadamardInto(w, m.H, m.U1.Row(i))
-		mat.MulDiagTSlice(out, m.U2, w, m.U3, scratch[m.Rank:2*m.Rank])
-		return
-	}
-	// Compact path: dequantize U3 once (K·r, small), then stream U2 rows
-	// through the second scratch half. Allocates the U3 buffer; the compact
-	// modes are serving formats, and serving batches score via TopNBatch.
-	mat.HadamardInto(w, m.H, m.u1Row(i, scratch[m.Rank:2*m.Rank]))
-	u3 := make([]float64, m.K*m.Rank)
-	for k := 0; k < m.K; k++ {
-		m.u3Row(k, u3[k*m.Rank:(k+1)*m.Rank])
-	}
-	wj := scratch[m.Rank : 2*m.Rank]
-	for j := 0; j < m.J; j++ {
-		m.u2Row(j, wj)
-		for t := range wj {
-			wj[t] *= w[t]
-		}
-		for k := 0; k < m.K; k++ {
-			out[j*m.K+k] = mat.DotUnrolled(wj, u3[k*m.Rank:(k+1)*m.Rank])
-		}
-	}
+	mat.HadamardInto(w, m.H, m.U1.Row(i))
+	mat.MulDiagTSlice(out, m.U2, w, m.U3, scratch[m.Rank:2*m.Rank])
 }
 
 // ScoreCandidates scores the candidate POIs js at a fixed (user, time) pair,
 // writing Score(i, js[n], k) into out[n]. Factoring w = h ⊙ U1ᵢ ⊙ U3ₖ out of
 // the candidate loop makes each candidate a single rank-length inner product
 // — a third of Predict's multiplies — which is the hot kernel of the ranking
-// protocol (100 negatives per held-out entry). The zero-out filter applies
-// exactly as in Score.
+// protocol (100 negatives per held-out entry). The weights and the per-row
+// kernel are TopNScratch's, so both score a candidate bit-identically. The
+// zero-out filter applies exactly as in Score.
 func (m *Model) ScoreCandidates(i, k int, js []int, out []float64) {
 	if len(out) < len(js) {
 		panic(fmt.Sprintf("core: ScoreCandidates out length %d for %d candidates", len(out), len(js)))
 	}
-	w := make([]float64, m.Rank)
-	var u1, u3 []float64
-	if m.Mode == StorageFloat64 {
-		u1, u3 = m.U1.Row(i), m.U3.Row(k)
-	} else {
-		buf := make([]float64, 2*m.Rank)
-		u1 = m.u1Row(i, buf[:m.Rank])
-		u3 = m.u3Row(k, buf[m.Rank:])
+	buf := make([]float64, 3*m.Rank)
+	w := buf[:m.Rank]
+	m.buildWeights(i, k, w, buf[m.Rank:])
+	var allowed []bool
+	if m.ZeroOutFilter != nil {
+		allowed = m.ZeroOutFilter[i]
 	}
-	for t := range w {
-		w[t] = m.H[t] * u1[t] * u3[t]
+	switch m.Mode {
+	case StorageFloat32:
+		scoreRows(w, m.Compact.U2f, nil, allowed, js, out)
+	case StorageInt8:
+		scoreRows(w, m.Compact.U2q, m.Compact.S2, allowed, js, out)
+	default:
+		scoreRows(w, m.U2.Data, nil, allowed, js, out)
 	}
-	filter := m.ZeroOutFilter
-	r := m.Rank
+}
+
+// scoreRows is ScoreCandidates' loop over the candidate rows js of the POI
+// factor slab, generic over its element type like TopNScratch's scanSlab.
+func scoreRows[E mat.Elem](w []float64, slab []E, scales []float64, allowed []bool, js []int, out []float64) {
+	r := len(w)
 	for n, j := range js {
-		if filter != nil && !filter[i][j] {
+		if allowed != nil && !allowed[j] {
 			out[n] = math.Inf(-1)
 			continue
 		}
-		switch m.Mode {
-		case StorageFloat32:
-			out[n] = mat.DotF32Unrolled(w, m.Compact.U2f[j*r:(j+1)*r])
-		case StorageInt8:
-			out[n] = m.Compact.S2[j] * mat.DotI8Unrolled(w, m.Compact.U2q[j*r:(j+1)*r])
-		default:
-			out[n] = mat.DotUnrolled(w, m.U2.Row(j))
+		d := mat.DotWiden(w, slab[j*r:(j+1)*r])
+		if scales != nil {
+			d = scales[j] * d
 		}
+		out[n] = d
 	}
 }
 

@@ -142,8 +142,9 @@ func TestScoreSlabMatchesPredict(t *testing.T) {
 	f := newParallelFixture(5)
 	m := f.m
 	out := make([]float64, m.J*m.K)
+	scratch := make([]float64, 2*m.Rank)
 	for _, i := range []int{0, 3, m.I - 1} {
-		m.ScoreSlab(i, out)
+		m.ScoreSlabScratch(i, out, scratch)
 		for j := 0; j < m.J; j++ {
 			for k := 0; k < m.K; k++ {
 				want := m.Predict(i, j, k)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"tcss/internal/mat"
 )
@@ -54,19 +53,38 @@ func (s *RecScratch) ensure(m *Model) {
 }
 
 // weights fills s.w with the factored per-(user,time) scoring weights
-// w = h ⊙ U1ᵢ ⊙ U3ₖ (see Model.buildWeights, the shared implementation).
+// w = h ⊙ U1ᵢ ⊙ U3ₖ (see Model.buildWeights below).
 func (s *RecScratch) weights(m *Model, i, k int) []float64 {
 	w := s.w[:m.Rank]
 	m.buildWeights(i, k, w, s.row)
 	return w
 }
 
+// buildWeights writes the factored scoring weights w = h ⊙ U1ᵢ ⊙ U3ₖ into w,
+// dequantizing the factor rows through rowbuf (length ≥ 2·Rank) in compact
+// modes; rowbuf is unused, and may be nil, at float64. It is the single
+// source of the weight expression: TopNScratch and ScoreCandidates run the
+// same floating-point operations in the same order, which is what makes
+// their scores comparable bit for bit.
+func (m *Model) buildWeights(i, k int, w, rowbuf []float64) {
+	var u1, u3 []float64
+	if m.Mode == StorageFloat64 {
+		u1, u3 = m.U1.Row(i), m.U3.Row(k)
+	} else {
+		u1 = m.u1Row(i, rowbuf[:m.Rank])
+		u3 = m.u3Row(k, rowbuf[m.Rank:2*m.Rank])
+	}
+	for t := range w {
+		w[t] = m.H[t] * u1[t] * u3[t]
+	}
+}
+
 // topKHeap is a bounded min-heap over (score, POI) pairs whose root is the
 // WORST retained candidate under the ranking order "score descending, POI
 // ascending". Because POI ids are unique the order is strict, so the heap
 // selects exactly the same top-n set — and, after the final sort, exactly the
-// same sequence — as sorting all candidates (Model.TopN's historical
-// behaviour), in O(J log n) instead of O(J log J) with no O(J) slice.
+// same sequence — as sorting all candidates, in O(J log n) instead of
+// O(J log J) with no O(J) slice.
 type topKHeap struct {
 	pois   []int
 	scores []float64
@@ -115,32 +133,38 @@ func (h *topKHeap) down(i int) {
 	}
 }
 
-// offer inserts (poi, score) if the heap has room or the candidate beats the
-// current worst retained element.
-func (h *topKHeap) offer(poi int, score float64, capacity int) {
+// admits reports whether (poi, score) enters a heap of the given capacity:
+// the heap has room, or the candidate ranks above the root, the worst
+// retained element (higher score, or equal score with a smaller POI id). It
+// is small enough to inline, so a scan pays no call for the many candidates
+// it turns away.
+func (h *topKHeap) admits(poi int, score float64, capacity int) bool {
+	return len(h.pois) < capacity || h.scores[0] < score || (h.scores[0] == score && h.pois[0] > poi)
+}
+
+// insert adds a candidate admits accepted: it grows the heap up to capacity,
+// then replaces the root.
+func (h *topKHeap) insert(poi int, score float64, capacity int) {
 	if len(h.pois) < capacity {
 		h.pois = append(h.pois, poi)
 		h.scores = append(h.scores, score)
 		h.up(len(h.pois) - 1)
 		return
 	}
-	// Root is the worst retained; replace it iff the candidate ranks above it
-	// (higher score, or equal score with a smaller POI id).
-	if h.scores[0] < score || (h.scores[0] == score && h.pois[0] > poi) {
-		h.pois[0], h.scores[0] = poi, score
-		h.down(0)
-	}
+	h.pois[0], h.scores[0] = poi, score
+	h.down(0)
 }
 
 // TopNScratch returns the n highest-scoring POIs for user i at time unit k,
 // excluding the POIs listed in skip, reusing s's buffers so steady-state calls
-// allocate only the returned slice. It is the scoring kernel behind both
-// Model.TopN and the serving layer's recommend handler: the per-(user,time)
-// weights w = h ⊙ U1ᵢ ⊙ U3ₖ are factored out once, each candidate POI costs a
-// single rank-length inner product (the ScoreCandidates kernel), and
-// candidates stream through a bounded top-K heap. The zero-out filter applies
-// exactly as in Score. Results are ordered by score descending with POI id
-// ascending as the tie-break — identical to sorting all candidates.
+// allocate only the returned slice. It is the scoring kernel behind the
+// serving layer's recommend handler and every top-K caller: the
+// per-(user,time) weights w = h ⊙ U1ᵢ ⊙ U3ₖ are factored out once, each
+// candidate POI costs a single rank-length inner product (the ScoreCandidates
+// kernel), and candidates stream through a bounded top-K heap. The zero-out
+// filter applies exactly as in Score. Results are ordered by score descending
+// with POI id ascending as the tie-break — identical to sorting all
+// candidates.
 func (m *Model) TopNScratch(i, k, n int, skip []int, s *RecScratch) []Recommendation {
 	if i < 0 || i >= m.I || k < 0 || k >= m.K {
 		panic(fmt.Sprintf("core: TopNScratch (user=%d, t=%d) out of model range %dx%d", i, k, m.I, m.K))
@@ -160,42 +184,17 @@ func (m *Model) TopNScratch(i, k, n int, skip []int, s *RecScratch) []Recommenda
 
 	s.heap.pois = s.heap.pois[:0]
 	s.heap.scores = s.heap.scores[:0]
-	filter := m.ZeroOutFilter
-	// One loop per storage mode so the candidate scan stays branch-free and
-	// the float64 path is byte-identical to its pre-compact form.
+	var allowed []bool
+	if m.ZeroOutFilter != nil {
+		allowed = m.ZeroOutFilter[i]
+	}
 	switch m.Mode {
 	case StorageFloat32:
-		r, u2 := m.Rank, m.Compact.U2f
-		for j := 0; j < m.J; j++ {
-			if s.skipStamp[j] == s.stamp {
-				continue
-			}
-			if filter != nil && !filter[i][j] {
-				continue
-			}
-			s.heap.offer(j, mat.DotF32Unrolled(w, u2[j*r:(j+1)*r]), n)
-		}
+		scanSlab(s, w, m.Compact.U2f, nil, allowed, n)
 	case StorageInt8:
-		r, u2, sc := m.Rank, m.Compact.U2q, m.Compact.S2
-		for j := 0; j < m.J; j++ {
-			if s.skipStamp[j] == s.stamp {
-				continue
-			}
-			if filter != nil && !filter[i][j] {
-				continue
-			}
-			s.heap.offer(j, sc[j]*mat.DotI8Unrolled(w, u2[j*r:(j+1)*r]), n)
-		}
+		scanSlab(s, w, m.Compact.U2q, m.Compact.S2, allowed, n)
 	default:
-		for j := 0; j < m.J; j++ {
-			if s.skipStamp[j] == s.stamp {
-				continue
-			}
-			if filter != nil && !filter[i][j] {
-				continue
-			}
-			s.heap.offer(j, mat.DotUnrolled(w, m.U2.Row(j)), n)
-		}
+		scanSlab(s, w, m.U2.Data, nil, allowed, n)
 	}
 
 	// Drain the heap worst-first into the tail of the result slice.
@@ -211,20 +210,29 @@ func (m *Model) TopNScratch(i, k, n int, skip []int, s *RecScratch) []Recommenda
 	return out
 }
 
-// TopN returns the n highest-scoring POIs for user i at time unit k,
-// excluding the POIs in skip (typically the user's already-visited set). It
-// delegates to TopNScratch with a fresh scratch; callers on a hot path should
-// hold a RecScratch and call TopNScratch directly.
-func (m *Model) TopN(i, k, n int, skip map[int]bool) []Recommendation {
-	var skipList []int
-	if len(skip) > 0 {
-		skipList = make([]int, 0, len(skip))
-		for j, excluded := range skip {
-			if excluded {
-				skipList = append(skipList, j)
-			}
+// scanSlab is TopNScratch's candidate loop over the J rows of slab, generic
+// over the POI factor slab element type: float64 factors, or the
+// float32/int8 compact slabs widened to float64 inside mat.DotWiden. scales
+// is the per-row int8 dequantization scale slab, nil otherwise; like
+// ScoreCandidates it multiplies the pure dot product by the row scale, so
+// both entry points compute every score with the same floating-point
+// operations. allowed is the user's zero-out filter row, nil when the model
+// has none.
+func scanSlab[E mat.Elem](s *RecScratch, w []float64, slab []E, scales []float64, allowed []bool, n int) {
+	r := len(w)
+	for j := range len(slab) / r {
+		if s.skipStamp[j] == s.stamp {
+			continue
 		}
-		sort.Ints(skipList)
+		if allowed != nil && !allowed[j] {
+			continue
+		}
+		d := mat.DotWiden(w, slab[j*r:(j+1)*r])
+		if scales != nil {
+			d = scales[j] * d
+		}
+		if s.heap.admits(j, d, n) {
+			s.heap.insert(j, d, n)
+		}
 	}
-	return m.TopNScratch(i, k, n, skipList, NewRecScratch(m))
 }

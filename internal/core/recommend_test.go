@@ -28,15 +28,22 @@ func randomRecModel(i, j, k, rank int, seed int64) *Model {
 	return m
 }
 
-// referenceTopN ranks every candidate with the same factored kernel as
-// TopNScratch and a full sort — the O(J log J) specification the bounded heap
-// must reproduce exactly, ties included.
+// referenceTopN ranks every candidate with a full sort — the O(J log J)
+// specification the bounded heap must reproduce exactly, ties included. It
+// does not share TopNScratch's kernel: the factor rows are widened to float64
+// up front (Decompress yields exactly the values the compact kernels widen
+// to) and scored with the float64 mat.DotUnrolled. int8 scores keep the row
+// scale outside the dot, S2[j] * DotUnrolled(w, float64(q)), as the serving
+// kernel does, so the comparison is bit-exact in every storage mode.
 func referenceTopN(m *Model, i, k, n int, skip map[int]bool) []Recommendation {
+	dm := m.Decompress()
 	w := make([]float64, m.Rank)
-	u1, u3 := m.U1.Row(i), m.U3.Row(k)
+	u1, u3 := dm.U1.Row(i), dm.U3.Row(k)
 	for t := range w {
 		w[t] = m.H[t] * u1[t] * u3[t]
 	}
+	r := m.Rank
+	row := make([]float64, r)
 	recs := make([]Recommendation, 0, m.J)
 	for j := 0; j < m.J; j++ {
 		if skip[j] {
@@ -45,7 +52,16 @@ func referenceTopN(m *Model, i, k, n int, skip map[int]bool) []Recommendation {
 		if m.ZeroOutFilter != nil && !m.ZeroOutFilter[i][j] {
 			continue
 		}
-		recs = append(recs, Recommendation{POI: j, Score: mat.DotUnrolled(w, m.U2.Row(j))})
+		var score float64
+		if m.Mode == StorageInt8 {
+			for t, q := range m.Compact.U2q[j*r : (j+1)*r] {
+				row[t] = float64(q)
+			}
+			score = m.Compact.S2[j] * mat.DotUnrolled(w, row)
+		} else {
+			score = mat.DotUnrolled(w, dm.U2.Row(j))
+		}
+		recs = append(recs, Recommendation{POI: j, Score: score})
 	}
 	sort.Slice(recs, func(a, b int) bool {
 		if recs[a].Score != recs[b].Score {
@@ -59,29 +75,50 @@ func referenceTopN(m *Model, i, k, n int, skip map[int]bool) []Recommendation {
 	return recs
 }
 
+// TestTopNScratchMatchesReference: in every storage mode, with and without a
+// zero-out filter, TopNScratch must return exactly the reference ranking —
+// random users, time slices, n and skip lists, one scratch shared across all
+// of them.
 func TestTopNScratchMatchesReference(t *testing.T) {
-	m := randomRecModel(6, 57, 4, 7, 1)
-	scratch := NewRecScratch(m)
+	base := randomRecModel(6, 57, 4, 7, 1)
+	filter := make([][]bool, base.I)
+	for i := range filter {
+		filter[i] = make([]bool, base.J)
+		for j := range filter[i] {
+			filter[i][j] = (i*7+j)%5 != 0
+		}
+	}
+	scratch := NewRecScratch(nil)
 	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 50; trial++ {
-		i, k := rng.Intn(m.I), rng.Intn(m.K)
-		n := 1 + rng.Intn(m.J+5)
-		skip := map[int]bool{}
-		var skipList []int
-		for j := 0; j < m.J; j++ {
-			if rng.Float64() < 0.2 {
-				skip[j] = true
-				skipList = append(skipList, j)
+	for _, zf := range [][][]bool{nil, filter} {
+		for _, mode := range []StorageMode{StorageFloat64, StorageFloat32, StorageInt8} {
+			m, err := base.ToStorage(mode)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		got := m.TopNScratch(i, k, n, skipList, scratch)
-		want := referenceTopN(m, i, k, n, skip)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d recs, want %d", trial, len(got), len(want))
-		}
-		for r := range got {
-			if got[r] != want[r] {
-				t.Fatalf("trial %d rank %d: got %+v, want %+v", trial, r, got[r], want[r])
+			fm := *m
+			fm.ZeroOutFilter = zf
+			for trial := 0; trial < 30; trial++ {
+				i, k := rng.Intn(fm.I), rng.Intn(fm.K)
+				n := 1 + rng.Intn(fm.J+5)
+				skip := map[int]bool{}
+				var skipList []int
+				for j := 0; j < fm.J; j++ {
+					if rng.Float64() < 0.2 {
+						skip[j] = true
+						skipList = append(skipList, j)
+					}
+				}
+				got := fm.TopNScratch(i, k, n, skipList, scratch)
+				want := referenceTopN(&fm, i, k, n, skip)
+				if len(got) != len(want) {
+					t.Fatalf("%v filter=%v trial %d: got %d recs, want %d", mode, zf != nil, trial, len(got), len(want))
+				}
+				for r := range got {
+					if got[r] != want[r] {
+						t.Fatalf("%v filter=%v trial %d rank %d: got %+v, want %+v", mode, zf != nil, trial, r, got[r], want[r])
+					}
+				}
 			}
 		}
 	}
@@ -183,26 +220,11 @@ func TestTopNScoresMatchPredict(t *testing.T) {
 	// The factored kernel regroups multiplications, so scores agree with
 	// Predict to rounding error, not bit-for-bit.
 	m := randomRecModel(3, 20, 3, 6, 6)
-	for _, rec := range m.TopN(1, 1, 20, nil) {
+	for _, rec := range m.TopNScratch(1, 1, 20, nil, NewRecScratch(m)) {
 		want := m.Predict(1, rec.POI, 1)
 		if diff := math.Abs(rec.Score - want); diff > 1e-12*(1+math.Abs(want)) {
 			t.Fatalf("POI %d score %g vs Predict %g (diff %g)", rec.POI, rec.Score, want, diff)
 		}
-	}
-}
-
-// BenchmarkTopNAlloc is the pre-scratch path: a fresh scratch (and skip map
-// conversion) per call, as Model.TopN does.
-func BenchmarkTopNAlloc(b *testing.B) {
-	m := randomRecModel(64, 800, 12, 10, 7)
-	skip := map[int]bool{}
-	for j := 0; j < 20; j++ {
-		skip[j*7%m.J] = true
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.TopN(i%m.I, i%m.K, 10, skip)
 	}
 }
 

@@ -8,12 +8,12 @@ import (
 
 // StorageMode selects how a Model stores its factor matrices. Training always
 // runs in float64; the compact modes exist for serving, where the factor
-// slabs dominate resident memory and memory bandwidth. All scoring entry
-// points (Predict, Score, ScoreCandidates, ScoreSlab, TopNScratch, TopNBatch)
-// work in every mode: compact values are widened to float64 inside the
-// kernels, so the compute path — summation order included — matches the
-// float64 kernels and the only deviation is the storage rounding of the
-// factor entries themselves.
+// slabs dominate resident memory and memory bandwidth. The serving entry
+// points (Predict, Score, ScoreCandidates, TopNScratch) work in every mode:
+// compact values are widened to float64 inside the kernels, so the compute
+// path — summation order included — matches the float64 kernels and the only
+// deviation is the storage rounding of the factor entries themselves.
+// ScoreSlabScratch, the dense training-head kernel, needs float64.
 type StorageMode int
 
 const (

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -167,48 +166,35 @@ func TestInt8QuantizationError(t *testing.T) {
 	}
 }
 
-// TestCompactTopNMatchesBruteForce: for each storage mode, TopNScratch must
-// return exactly the top-8 of a brute-force ranking computed with the same
-// per-mode candidate kernel (ScoreCandidates builds w and scores candidates
-// with the identical floating-point expressions, so the comparison is exact).
-// For float32 the widened dot also matches the decompressed-f64 model bit for
-// bit; int8 factors the row scale out of the dot, so it only matches its own
-// kernel exactly and the decompressed model approximately.
+// TestCompactTopNMatchesBruteForce: for each compact storage mode,
+// TopNScratch must return exactly the top-8 of a brute-force ranking that
+// does not share its kernel (referenceTopN: rows widened to float64 first,
+// scored with mat.DotUnrolled). For float32 the widened dot also matches the
+// decompressed-f64 model bit for bit; int8 factors the row scale out of the
+// dot, so it only matches the scale-outside reference exactly and the
+// decompressed model approximately.
 func TestCompactTopNMatchesBruteForce(t *testing.T) {
 	m := storageTestModel(t, 23, 31, 7, 10, 4)
 	skip := []int{2, 9, 17}
+	skipSet := map[int]bool{}
+	for _, j := range skip {
+		skipSet[j] = true
+	}
 	for _, mode := range []StorageMode{StorageFloat32, StorageInt8} {
 		cm, err := m.ToStorage(mode)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc := NewRecScratch(cm)
-		allJ := make([]int, m.J)
-		for j := range allJ {
-			allJ[j] = j
-		}
-		scores := make([]float64, m.J)
-		skipSet := map[int]bool{}
-		for _, j := range skip {
-			skipSet[j] = true
-		}
 		for i := 0; i < m.I; i += 3 {
 			for k := 0; k < m.K; k++ {
 				got := cm.TopNScratch(i, k, 8, skip, sc)
-				cm.ScoreCandidates(i, k, allJ, scores)
-				var want []Recommendation
-				for j, s := range scores {
-					if !skipSet[j] {
-						want = append(want, Recommendation{POI: j, Score: s})
-					}
-				}
-				sortRecs(want)
-				want = want[:8]
+				want := referenceTopN(cm, i, k, 8, skipSet)
 				if len(got) != len(want) {
 					t.Fatalf("%v user %d t %d: %d results, want %d", mode, i, k, len(got), len(want))
 				}
 				for p := range want {
-					if got[p].POI != want[p].POI || got[p].Score != want[p].Score {
+					if got[p] != want[p] {
 						t.Fatalf("%v user %d t %d rank %d: got %+v, brute force %+v",
 							mode, i, k, p, got[p], want[p])
 					}
@@ -232,17 +218,10 @@ func TestCompactTopNMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// sortRecs orders recommendations by score descending, POI ascending — the
-// documented ranking order.
-func sortRecs(rs []Recommendation) {
-	sort.Slice(rs, func(a, b int) bool {
-		if rs[a].Score != rs[b].Score {
-			return rs[a].Score > rs[b].Score
-		}
-		return rs[a].POI < rs[b].POI
-	})
-}
-
+// TestCompactScoreCandidatesAndSlab: in the compact modes ScoreCandidates
+// agrees with Score and, sharing TopNScratch's weights and row kernel, with
+// TopNScratch bit for bit; ScoreSlabScratch refuses compact storage, and on
+// the decompressed model agrees with the compact Predict.
 func TestCompactScoreCandidatesAndSlab(t *testing.T) {
 	m := storageTestModel(t, 11, 19, 5, 10, 5)
 	js := []int{0, 3, 7, 11, 18}
@@ -252,23 +231,39 @@ func TestCompactScoreCandidatesAndSlab(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := make([]float64, len(js))
+		sc := NewRecScratch(cm)
 		for i := 0; i < m.I; i += 2 {
 			for k := 0; k < m.K; k++ {
 				cm.ScoreCandidates(i, k, js, out)
+				top := map[int]float64{}
+				for _, rec := range cm.TopNScratch(i, k, m.J, nil, sc) {
+					top[rec.POI] = rec.Score
+				}
 				for n, j := range js {
-					// Same widened factors, same kernel summation order.
 					if want := cm.Score(i, j, k); math.Abs(out[n]-want) > 1e-12 {
 						t.Fatalf("%v ScoreCandidates(%d,%d) poi %d = %g, Score %g", mode, i, k, j, out[n], want)
+					}
+					if out[n] != top[j] {
+						t.Fatalf("%v ScoreCandidates(%d,%d) poi %d = %g, TopNScratch %g", mode, i, k, j, out[n], top[j])
 					}
 				}
 			}
 		}
 		slab := make([]float64, m.J*m.K)
-		cm.ScoreSlab(3, slab)
+		scratch := make([]float64, 2*m.Rank)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%v ScoreSlabScratch accepted compact storage", mode)
+				}
+			}()
+			cm.ScoreSlabScratch(3, slab, scratch)
+		}()
+		cm.Decompress().ScoreSlabScratch(3, slab, scratch)
 		for j := 0; j < m.J; j++ {
 			for k := 0; k < m.K; k++ {
 				if want := cm.Predict(3, j, k); math.Abs(slab[j*m.K+k]-want) > 1e-12 {
-					t.Fatalf("%v ScoreSlab[%d,%d] = %g, Predict %g", mode, j, k, slab[j*m.K+k], want)
+					t.Fatalf("%v ScoreSlabScratch[%d,%d] = %g, Predict %g", mode, j, k, slab[j*m.K+k], want)
 				}
 			}
 		}

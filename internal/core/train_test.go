@@ -315,12 +315,13 @@ func TestTopNRespectsSkipAndFilter(t *testing.T) {
 	m.U1.Set(0, 0, 1)
 	m.U3.Set(0, 0, 1)
 	m.H[0] = 1
-	recs := m.TopN(0, 0, 3, map[int]bool{4: true})
+	sc := NewRecScratch(m)
+	recs := m.TopNScratch(0, 0, 3, []int{4}, sc)
 	if len(recs) != 3 || recs[0].POI != 3 {
 		t.Fatalf("TopN = %+v, want best POI 3 after skipping 4", recs)
 	}
 	m.ZeroOutFilter = [][]bool{{true, true, false, false, false}}
-	recs = m.TopN(0, 0, 3, nil)
+	recs = m.TopNScratch(0, 0, 3, nil, sc)
 	if len(recs) != 2 || recs[0].POI != 1 {
 		t.Fatalf("filtered TopN = %+v", recs)
 	}

@@ -78,7 +78,11 @@ func TestRankDeterministicWithSeed(t *testing.T) {
 func TestRankBoundsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := ScorerFunc(func(i, j, k int) float64 { return rng.Float64() })
+		// Rank scores from parallel workers, so the pseudo-random scores
+		// come from the cell indices rather than the shared rng.
+		s := ScorerFunc(func(i, j, k int) float64 {
+			return rand.New(rand.NewSource(seed + int64(i)<<40 + int64(j)<<20 + int64(k))).Float64()
+		})
 		var test []tensor.Entry
 		for n := 0; n < 10; n++ {
 			test = append(test, tensor.Entry{I: rng.Intn(4), J: rng.Intn(120), K: rng.Intn(3), Val: 1})

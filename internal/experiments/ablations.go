@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"time"
+
+	"tcss/internal/core"
 )
 
 // The runners in this file are ablation benches for the design choices
@@ -66,8 +68,9 @@ func AblationEntropy(opts Options) (*Table, error) {
 		}
 		var pop float64
 		var n int
+		sc := core.NewRecScratch(m)
 		for u := 0; u < inst.Train.DimI; u += 4 {
-			for _, r := range m.TopN(u, 6, 10, nil) {
+			for _, r := range m.TopNScratch(u, 6, 10, nil, sc) {
 				pop += float64(len(visitors[r.POI]))
 				n++
 			}

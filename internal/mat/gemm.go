@@ -3,12 +3,12 @@ package mat
 import "fmt"
 
 // This file holds the allocation-free GEMM kernels behind the repository's
-// hot paths: the slab scoring kernel of core.Model.ScoreSlab and the batch
-// scorers of internal/eval. The kernels differ from the allocating Mul/MulT
-// methods in two ways: the caller owns the output (so epoch loops reuse one
-// buffer), and the inner products run with four independent accumulators,
-// which breaks the floating-point dependency chain and roughly doubles
-// throughput on short rank-sized vectors. Four-way accumulation regroups
+// hot paths: the slab scoring kernel of core.Model.ScoreSlabScratch and the
+// batch scorers of internal/eval. The kernels differ from the allocating
+// Mul/MulT methods in two ways: the caller owns the output (so epoch loops
+// reuse one buffer), and the inner products run with four independent
+// accumulators, which breaks the floating-point dependency chain and roughly
+// doubles throughput on short rank-sized vectors. Four-way accumulation regroups
 // additions relative to the sequential Dot, so results may differ from the
 // naive kernels by O(machine epsilon); every user of these kernels compares
 // against references with a tolerance, never bit-for-bit.
@@ -30,6 +30,37 @@ func DotUnrolled(a, b []float64) float64 {
 	}
 	for ; i < n; i++ {
 		s0 += a[i] * b[i]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// Elem covers the factor-slab element types: float64 factors and the compact
+// float32/int8 storage modes.
+type Elem interface {
+	~float64 | ~float32 | ~int8
+}
+
+// DotWiden returns the inner product of the float64 vector a and b, widening
+// each b element to float64 before multiplying. It runs DotUnrolled's
+// algorithm (four-lane unroll, tail into lane 0, reduction (s0+s1)+(s2+s3)),
+// so for float64 it is bit-identical to DotUnrolled, and for float32/int8 to
+// DotUnrolled over the widened row: the compact storage modes differ from
+// float64 only by the storage rounding of the row, never by summation order.
+func DotWiden[E Elem](a []float64, b []E) float64 {
+	n := len(a)
+	if n != len(b) {
+		panic(fmt.Sprintf("mat: DotWiden length mismatch %d vs %d", n, len(b)))
+	}
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		s0 += a[i] * float64(b[i])
+		s1 += a[i+1] * float64(b[i+1])
+		s2 += a[i+2] * float64(b[i+2])
+		s3 += a[i+3] * float64(b[i+3])
+	}
+	for ; i < n; i++ {
+		s0 += a[i] * float64(b[i])
 	}
 	return (s0 + s1) + (s2 + s3)
 }

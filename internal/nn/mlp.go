@@ -5,12 +5,11 @@ import (
 	"math/rand"
 )
 
-// MLP is a sequential stack of layers trained as a unit. Forward caches the
-// intermediate inputs so Backward can be called immediately afterwards for
-// the same example (the usual single-example training pattern here).
+// MLP is a sequential stack of layers trained as a unit. Forward keeps no
+// state, so concurrent Forward calls (parallel scoring) are safe; Backward
+// recomputes the intermediate layer inputs from the original input.
 type MLP struct {
 	Layers []Layer
-	inputs [][]float64 // inputs[i] is the input given to Layers[i]
 }
 
 // NewMLP builds a multi-layer perceptron with the given hidden sizes, hidden
@@ -27,25 +26,25 @@ func NewMLP(name string, inDim int, hidden []int, outDim int, act ActKind, rng *
 	return m
 }
 
-// Forward runs the stack and caches intermediates for Backward.
+// Forward runs the stack.
 func (m *MLP) Forward(x []float64) []float64 {
-	m.inputs = m.inputs[:0]
 	for _, l := range m.Layers {
-		m.inputs = append(m.inputs, x)
 		x = l.Forward(x)
 	}
 	return x
 }
 
-// Backward back-propagates dOut through the stack, accumulating parameter
-// gradients, and returns the gradient w.r.t. the original input. It must
-// follow a Forward call on the same example.
+// Backward back-propagates dOut through the stack for input x, accumulating
+// parameter gradients, and returns the gradient w.r.t. x. It reruns the
+// forward pass to recover each layer's input.
 func (m *MLP) Backward(x, dOut []float64) []float64 {
-	if len(m.inputs) != len(m.Layers) {
-		panic("nn: MLP.Backward without a preceding Forward")
+	inputs := make([][]float64, len(m.Layers))
+	for i, l := range m.Layers {
+		inputs[i] = x
+		x = l.Forward(x)
 	}
 	for i := len(m.Layers) - 1; i >= 0; i-- {
-		dOut = m.Layers[i].Backward(m.inputs[i], dOut)
+		dOut = m.Layers[i].Backward(inputs[i], dOut)
 	}
 	return dOut
 }

@@ -47,6 +47,31 @@ func (s *Server) badRequest(w http.ResponseWriter, format string, args ...any) {
 	writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes caps the request body of POST /v1/observe and /v1/next. The
+// largest body the repository's tests, smokes and benchmark send is a weekly
+// drift-replay observe batch of 21 KB (a /v1/next sequence at maxNextSeq is
+// about 10 KB); 8 MiB still fits a week of check-ins at full Gowalla scale
+// while bounding what one request can make the node buffer.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBodyBytes of it. A longer body gets 413 and a malformed one 400; it
+// reports whether v was decoded.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		s.met.bodyTooLarge.Add(1)
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)})
+	default:
+		s.badRequest(w, "decoding body: %v", err)
+	}
+	return false
+}
+
 // shed rejects with 503 + Retry-After, the bounded queue's overflow response.
 func (s *Server) shed(w http.ResponseWriter, what string) {
 	s.met.shed.Add(1)
@@ -399,8 +424,7 @@ func (s *Server) serveNext(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req nextRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.badRequest(w, "decoding body: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.CheckIns) == 0 {
@@ -671,8 +695,7 @@ func (s *Server) serveObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req observeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.badRequest(w, "decoding body: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.CheckIns) == 0 && len(req.NewUsers) == 0 && len(req.NewPOIs) == 0 {

@@ -80,6 +80,7 @@ type metrics struct {
 	modelNotReady atomic.Int64 // 503s from registered-but-unfitted models
 
 	badRequest     atomic.Int64 // 400s
+	bodyTooLarge   atomic.Int64 // 413s: POST bodies over maxBodyBytes
 	shed           atomic.Int64 // 503s from admission or observe queue
 	deadlineMissed atomic.Int64 // 504s
 	budgetClamped  atomic.Int64 // requests whose X-Deadline-Budget undercut RequestTimeout
@@ -111,12 +112,6 @@ type metrics struct {
 	breakerRejected   atomic.Int64 // writes rejected while open
 	checksumRejected  atomic.Int64 // read-backs that failed the CRC frame
 
-	// Coalescing counters: batches executed, requests that travelled in
-	// them, and a batch-size histogram (buckets per coalesceBucket).
-	coalesceBatches  atomic.Int64
-	coalesceRequests atomic.Int64
-	coalesceHist     [len(coalesceBucketLabels)]atomic.Int64
-
 	// Cluster counters: requests rejected because this node does not own the
 	// user (421 — a gateway/shard ring disagreement), shipments served to
 	// replicas, and the replica-side replication pipeline (publishes applied
@@ -133,13 +128,6 @@ type metrics struct {
 	nextLat      latencyRing
 	explainLat   latencyRing
 	observeLat   latencyRing
-}
-
-// coalesceBucketCount is one batch-size histogram bucket in /metrics,
-// serialized as an ordered list so bucket order survives JSON encoding.
-type coalesceBucketCount struct {
-	Bucket string `json:"bucket"`
-	Count  int64  `json:"count"`
 }
 
 // routeStats is the per-request-class block of the /metrics document.
@@ -178,6 +166,7 @@ type metricsSnapshot struct {
 	Observe   routeStats `json:"observe"`
 
 	BadRequests    int64 `json:"bad_requests"`
+	BodyTooLarge   int64 `json:"body_too_large_413"`
 	Shed           int64 `json:"shed_503"`
 	DeadlineMissed int64 `json:"deadline_504"`
 	InternalErrors int64 `json:"internal_500"`
@@ -234,20 +223,6 @@ type metricsSnapshot struct {
 		Users int `json:"users"`
 		POIs  int `json:"pois"`
 	} `json:"model"`
-
-	// Coalesce reports the request-batching pipeline: whether it is on, how
-	// many batches ran, how many requests travelled in them, the mean batch
-	// size, and a batch-size histogram. Mean sizes near 1 mean the window is
-	// too short (or load too light) for requests to share slab passes.
-	Coalesce struct {
-		Enabled      bool                  `json:"enabled"`
-		WindowUs     float64               `json:"window_us"`
-		MaxBatch     int                   `json:"max_batch"`
-		Batches      int64                 `json:"batches"`
-		Requests     int64                 `json:"requests"`
-		AvgBatchSize float64               `json:"avg_batch_size"`
-		BatchSizes   []coalesceBucketCount `json:"batch_size_counts"`
-	} `json:"coalesce"`
 
 	ObserveStats struct {
 		Applied    int64 `json:"applied"`
@@ -333,6 +308,7 @@ func (s *Server) collectMetrics(includeWindows bool) metricsSnapshot {
 	}
 
 	out.BadRequests = m.badRequest.Load()
+	out.BodyTooLarge = m.bodyTooLarge.Load()
 	out.Shed = m.shed.Load()
 	out.DeadlineMissed = m.deadlineMissed.Load()
 	out.InternalErrors = m.internalErrors.Load()
@@ -360,21 +336,6 @@ func (s *Server) collectMetrics(includeWindows bool) metricsSnapshot {
 	}
 	out.Snapshot.Swaps = m.snapshotSwaps.Load()
 	out.Snapshot.Saves = m.snapshotSaves.Load()
-
-	out.Coalesce.Enabled = s.coal != nil
-	if s.coal != nil {
-		out.Coalesce.WindowUs = float64(s.coal.window) / float64(time.Microsecond)
-		out.Coalesce.MaxBatch = s.coal.maxBatch
-	}
-	out.Coalesce.Batches = m.coalesceBatches.Load()
-	out.Coalesce.Requests = m.coalesceRequests.Load()
-	if out.Coalesce.Batches > 0 {
-		out.Coalesce.AvgBatchSize = float64(out.Coalesce.Requests) / float64(out.Coalesce.Batches)
-	}
-	out.Coalesce.BatchSizes = make([]coalesceBucketCount, len(coalesceBucketLabels))
-	for i, label := range coalesceBucketLabels {
-		out.Coalesce.BatchSizes[i] = coalesceBucketCount{Bucket: label, Count: m.coalesceHist[i].Load()}
-	}
 
 	out.ObserveStats.Applied = m.observeApplied.Load()
 	out.ObserveStats.Noop = m.observeNoop.Load()

@@ -90,6 +90,53 @@ func postNext(t *testing.T, url string, body string) (*http.Response, []byte) {
 
 const nextBody = `{"checkins":[{"poi":1,"t":0},{"poi":7,"t":3},{"poi":2,"t":5}]}`
 
+// padBody pads a JSON object body with spaces before its closing brace to
+// exactly size bytes, so the decoder must read every byte.
+func padBody(body string, size int) string {
+	return body[:len(body)-1] + strings.Repeat(" ", size-len(body)) + "}"
+}
+
+// TestBodyCap: a POST body of exactly maxBodyBytes is decoded like its
+// unpadded form, and one byte more is refused with 413 and counted.
+func TestBodyCap(t *testing.T) {
+	rec := fitRecommender(t, 21)
+	seq := fitSeqModel(t, rec, "STRNN", 21)
+	srv, hs, _ := newMultiServer(t, multiOpts{seq: seq})
+	fresh := findFreshCell(t, srv)
+	raw, err := json.Marshal(observeRequest{CheckIns: []observeCheckIn{fresh}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	observeBody := string(raw)
+	cases := []struct {
+		name, path, body string
+		size             int
+		want             int
+	}{
+		{"observe", "/v1/observe", observeBody, len(observeBody), http.StatusOK},
+		{"observe at cap", "/v1/observe", observeBody, maxBodyBytes, http.StatusOK},
+		{"observe over cap", "/v1/observe", observeBody, maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+		{"next", "/v1/next?user=3&n=5", nextBody, len(nextBody), http.StatusOK},
+		{"next at cap", "/v1/next?user=3&n=5", nextBody, maxBodyBytes, http.StatusOK},
+		{"next over cap", "/v1/next?user=3&n=5", nextBody, maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+	}
+	refused := 0
+	for _, c := range cases {
+		resp, data := postNext(t, hs.URL+c.path, padBody(c.body, c.size))
+		if resp.StatusCode != c.want {
+			t.Fatalf("%s: status %d (%s), want %d", c.name, resp.StatusCode, data, c.want)
+		}
+		if c.want == http.StatusRequestEntityTooLarge {
+			refused++
+		}
+	}
+	var met metricsSnapshot
+	getJSON(t, hs.URL+"/metrics", &met)
+	if met.BodyTooLarge != int64(refused) || met.BadRequests != 0 {
+		t.Fatalf("body_too_large_413 %d, bad_requests %d; want %d, 0", met.BodyTooLarge, met.BadRequests, refused)
+	}
+}
+
 func TestNextEndpoint(t *testing.T) {
 	rec := fitRecommender(t, 21)
 	seq := fitSeqModel(t, rec, "STRNN", 21)

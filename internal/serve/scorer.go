@@ -17,7 +17,7 @@ type Scorer = registry.Scorer
 type NextScorer = registry.NextScorer
 
 // snapshotScorer adapts the server's own snapshot path — atomic snapshot
-// load, pooled scratch or the request coalescer — to the Scorer interface.
+// load and pooled scratch — to the Scorer interface.
 // It is registered as the registry's primary model, so the default routing
 // behaves exactly like the single-model server did: same scoring path, same
 // bytes.
@@ -38,15 +38,9 @@ func (t *snapshotScorer) Dims() (int, int, int) {
 	return snap.Model.I, snap.Model.J, snap.Model.K
 }
 
-// Recommend implements Scorer. With coalescing enabled the request joins the
-// pending batch and reports the generation of the snapshot the batch executed
-// on; otherwise it scores the current snapshot with pooled scratch. Both are
-// bit-identical to the pre-registry request path.
+// Recommend implements Scorer: it scores the current snapshot with pooled
+// scratch, bit-identical to the pre-registry request path.
 func (t *snapshotScorer) Recommend(user, tIdx, n int) ([]core.Recommendation, uint64, error) {
-	if t.s.coal != nil {
-		recs, esnap := t.s.coal.do(user, tIdx, n)
-		return recs, esnap.Gen, nil
-	}
 	snap := t.s.snap.load()
 	sc := t.s.getScratch()
 	recs := snap.Model.TopNScratch(user, tIdx, n, snap.Side.OwnPOIs[user], sc)

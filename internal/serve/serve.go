@@ -17,8 +17,9 @@
 // Load management. The read path runs behind a bounded admission queue
 // (MaxInflight scoring slots, MaxQueue waiters, 503 + Retry-After beyond
 // that), per-request deadlines (504 on expiry), a generation-keyed LRU
-// response cache that snapshot swaps invalidate wholesale, and pooled scoring
-// scratch (core.RecScratch) so steady-state requests allocate only their
+// response cache that snapshot swaps invalidate wholesale, and one scoring
+// path: every recommend request runs core.Model.TopNScratch on pooled
+// scratch (core.RecScratch), so steady-state requests allocate only their
 // response. Observability comes from /metrics (request counts, latency
 // percentiles over a ring-buffer window, cache hit rate, snapshot
 // generation/age, queue depths) and /healthz.
@@ -60,18 +61,6 @@ type Options struct {
 
 	// CacheSize is the LRU capacity in responses; < 0 disables the cache.
 	CacheSize int
-
-	// Coalesce batches concurrent recommend requests through one pass over
-	// the POI factor slab (core.TopNBatch): a request joins the pending batch,
-	// which executes when it reaches CoalesceBatch requests or CoalesceWindow
-	// after its first member arrived, whichever comes first. Per request the
-	// results are bit-identical to the per-request path against the snapshot
-	// the batch executed on (whose generation the response reports). Worth it
-	// under concurrent load; off by default because a lone request pays the
-	// window as added latency.
-	Coalesce       bool
-	CoalesceWindow time.Duration // max wait for co-travellers; default 200µs
-	CoalesceBatch  int           // flush threshold; default 32
 
 	// ObserveQueue bounds buffered writer commands (observe/save batches);
 	// a full queue sheds observes with 503.
@@ -187,8 +176,6 @@ func DefaultOptions() Options {
 		MaxQueue:       256,
 		RetryAfter:     time.Second,
 		CacheSize:      8192,
-		CoalesceWindow: 200 * time.Microsecond,
-		CoalesceBatch:  32,
 		ObserveQueue:   64,
 		Online:         tcss.DefaultOnlineConfig(),
 
@@ -198,40 +185,6 @@ func DefaultOptions() Options {
 		SaveRetries:        2,
 		SaveRetryBackoff:   50 * time.Millisecond,
 	}
-}
-
-// Validate rejects option combinations that withDefaults cannot repair.
-// Non-positive values generally mean "use the default", so Validate only
-// flags settings that are explicitly nonsensical: negative coalescing knobs
-// (a negative duration or batch size is never a plausible default request), a
-// coalesce batch of one (pays the batching synchronisation for no reuse — set
-// Coalesce false instead), and a coalesce window at or beyond the request
-// timeout (every coalesced request would miss its deadline waiting for
-// co-travellers). New calls Validate before applying defaults.
-func (o Options) Validate() error {
-	if o.CoalesceWindow < 0 {
-		return fmt.Errorf("serve: coalesce window must not be negative, got %v", o.CoalesceWindow)
-	}
-	if o.CoalesceBatch < 0 {
-		return fmt.Errorf("serve: coalesce batch must not be negative, got %d", o.CoalesceBatch)
-	}
-	if o.CoalesceBatch == 1 {
-		return fmt.Errorf("serve: coalesce batch of 1 defeats coalescing; disable Coalesce instead")
-	}
-	if o.Coalesce {
-		timeout := o.RequestTimeout
-		if timeout <= 0 {
-			timeout = DefaultOptions().RequestTimeout
-		}
-		window := o.CoalesceWindow
-		if window == 0 {
-			window = DefaultOptions().CoalesceWindow
-		}
-		if window >= timeout {
-			return fmt.Errorf("serve: coalesce window %v must be below the request timeout %v", window, timeout)
-		}
-	}
-	return nil
 }
 
 func (o Options) withDefaults() Options {
@@ -256,12 +209,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheSize == 0 {
 		o.CacheSize = def.CacheSize
-	}
-	if o.CoalesceWindow <= 0 {
-		o.CoalesceWindow = def.CoalesceWindow
-	}
-	if o.CoalesceBatch <= 0 {
-		o.CoalesceBatch = def.CoalesceBatch
 	}
 	if o.ObserveQueue <= 0 {
 		o.ObserveQueue = def.ObserveQueue
@@ -318,7 +265,6 @@ type Server struct {
 
 	snap  holder
 	reg   *registry.Registry
-	coal  *coalescer // nil unless Options.Coalesce
 	cache *lruCache
 	met   *metrics
 	adm   *admission
@@ -389,9 +335,6 @@ func NewFromSource(src Source, opts Options) (*Server, error) {
 	if err := validateSource(src); err != nil {
 		return nil, err
 	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:  opts,
@@ -412,9 +355,6 @@ func NewFromSource(src Source, opts Options) (*Server, error) {
 		Side:    side,
 		Created: opts.now(),
 	})
-	if opts.Coalesce {
-		s.coal = newCoalescer(s, opts.CoalesceWindow, opts.CoalesceBatch)
-	}
 	s.reg = opts.Registry
 	if s.reg == nil {
 		s.reg = registry.New()
