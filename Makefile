@@ -40,12 +40,14 @@ gradcheck:
 	$(GO) test -run 'Gradcheck|Gradients|Golden' -count=1 ./internal/check ./internal/core ./internal/nn ./internal/baselines
 
 # Short coverage-guided exploration of each fuzz target (the seed corpora
-# already run as plain tests in `make test`). Go allows one -fuzz pattern per
-# invocation, hence the loop.
+# already run as plain tests in `make test`). Go allows one -fuzz target per
+# invocation, hence the loop over package:target pairs.
 FUZZTIME ?= 10s
+FUZZ_TARGETS = ./internal/check:FuzzCOOInvariants ./internal/check:FuzzScoreSlabVsPredict \
+	./internal/check:FuzzHausdorffSymmetry ./internal/serve:FuzzDecodeShipment
 fuzz:
-	for t in FuzzCOOInvariants FuzzScoreSlabVsPredict FuzzHausdorffSymmetry; do \
-		$(GO) test -run '^$$' -fuzz $$t -fuzztime $(FUZZTIME) ./internal/check || exit 1; \
+	for pt in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${pt#*:}$$" -fuzztime $(FUZZTIME) "$${pt%%:*}" || exit 1; \
 	done
 
 # Re-record the golden trajectories after an INTENDED change to training math.

@@ -89,7 +89,7 @@ func main() {
 	fmt.Println("\nmean distance from top-5 recommendations to nearest friend POI:")
 	fmt.Printf("  with social head:    %.1f km\n", avgDist(full))
 	fmt.Printf("  without social head: %.1f km\n", avgDist(plain))
-	fmt.Printf("  (dataset d_max = %.0f km)\n", dist.DMax)
+	fmt.Printf("  (dataset d_max = %.0f km)\n", dist.DMax())
 	_ = geo.EarthRadiusKm
 }
 

@@ -26,8 +26,8 @@ import (
 // distance, the Δt/Δd signals STRNN and STGN gate on.
 func seqFeatures(prev, cur Visit, dist *geo.DistanceMatrix, timeUnits int) (dt, dd float64) {
 	dt = float64(cur.TimeIndex-prev.TimeIndex) / float64(timeUnits)
-	if dist.DMax > 0 {
-		dd = dist.At(prev.POI, cur.POI) / dist.DMax
+	if dmax := dist.DMax(); dmax > 0 {
+		dd = dist.At(prev.POI, cur.POI) / dmax
 	}
 	return dt, dd
 }

@@ -167,7 +167,7 @@ type Cluster struct {
 
 	t    *testing.T
 	gw   *httptest.Server
-	base *tcss.Recommender // shared immutable model for replicas and Dist grafting
+	base *tcss.Recommender // shared immutable model for replicas; its geometry backs coordinate-free shipments
 }
 
 // New assembles a cluster per cfg. Every node fits the same deterministic

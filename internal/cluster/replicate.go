@@ -25,9 +25,9 @@ type Replicator struct {
 	Server *serve.Server
 	// Primary is the base URL of the shard primary, e.g. "http://127.0.0.1:8001".
 	Primary string
-	// Dist is the replica's local POI distance matrix, grafted into shipped
-	// side information (the wire format deliberately excludes the O(J²)
-	// static matrix).
+	// Dist is the replica's local POI geometry, used only for shipments
+	// that carry no POI coordinates (DecodeShipment builds the geometry from
+	// shipped coordinates otherwise).
 	Dist *geo.DistanceMatrix
 	// Client is the HTTP client for fetches; http.DefaultClient when nil.
 	// Hung primaries are bounded by SyncTimeout, not a client-wide timeout.
@@ -145,12 +145,6 @@ func (r *Replicator) SyncOnce(ctx context.Context) (gen uint64, applied bool, er
 	if err != nil {
 		r.Server.RecordReplication(err)
 		return after, false, err
-	}
-	// Open-world growth at the primary may have extended the distance matrix
-	// (DecodeShipment grew or rebuilt it from shipped coordinates); keep the
-	// grown matrix as the local baseline so the next sync grafts it directly.
-	if side.Dist != nil && (r.Dist == nil || side.Dist.N > r.Dist.N) {
-		r.Dist = side.Dist
 	}
 	r.Server.RecordReplication(nil)
 	r.last.Store(gen)

@@ -58,16 +58,19 @@ type Hausdorff struct {
 	// Per-user min-distance cache. minDOnce[i] guards minD[i], so concurrent
 	// workers hitting different users never contend on a shared lock (the
 	// global-mutex map this replaces serialized the whole user-parallel loop
-	// on its first epoch). cacheInit sizes both slices on first use.
+	// on its first epoch). cacheInit sizes every cache slice on first use.
 	cacheInit sync.Once
 	minD      [][]float64
 	minDOnce  []sync.Once
 
-	// dnorm caches dn[j'·N+j] = d(j,j')/d_max − 1, the shifted normalized
+	// Friend-POI distance rows: rows[jp] holds d(jp, j) for every POI j,
+	// followed by dn(jp, j) = d(jp, j)/d_max − 1, the shifted normalized
 	// distances term 2 consumes: f_j = p_j·dn + 1 is one multiply-add, and
-	// ∂f_j/∂p_j = dn needs no recomputation in the gradient pass.
-	dnormOnce sync.Once
-	dnorm     []float64
+	// ∂f_j/∂p_j = dn needs no recomputation in the gradient pass. Only POIs
+	// in some friend set are ever read, so only their rows are computed,
+	// each once under rowOnce[jp].
+	rows    [][]float64
+	rowOnce []sync.Once
 }
 
 // NewHausdorff builds the loss head with the paper's default α = −1 and
@@ -89,67 +92,83 @@ func (h *Hausdorff) entropy(j int) float64 {
 	return h.EntropyW[j]
 }
 
+func (h *Hausdorff) initCaches() {
+	h.cacheInit.Do(func() {
+		h.minD = make([][]float64, len(h.FriendPOIs))
+		h.minDOnce = make([]sync.Once, len(h.FriendPOIs))
+		h.rows = make([][]float64, h.Dist.N)
+		h.rowOnce = make([]sync.Once, h.Dist.N)
+	})
+}
+
+// friendRow returns the raw distances d(jp, ·) and the shifted normalized
+// distances d(jp, ·)/d_max − 1 from friend POI jp to every POI, computed
+// once per head and shared by all workers.
+func (h *Hausdorff) friendRow(jp int) (raw, dn []float64) {
+	h.initCaches()
+	n := h.Dist.N
+	h.rowOnce[jp].Do(func() {
+		row := make([]float64, 2*n)
+		h.Dist.Row(jp, row[:n])
+		inv := h.invDMax()
+		for j, d := range row[:n] {
+			row[n+j] = d*inv - 1
+		}
+		h.rows[jp] = row
+	})
+	row := h.rows[jp]
+	return row[:n], row[n:]
+}
+
 // minDistances returns, for user i, min_{j'∈N(v_i)} d(j, j')/d_max for every
 // POI j. The result is computed once per user under a per-user sync.Once (it
 // depends only on the fixed friend sets) and shared by all workers.
 func (h *Hausdorff) minDistances(i int) []float64 {
-	h.cacheInit.Do(func() {
-		h.minD = make([][]float64, len(h.FriendPOIs))
-		h.minDOnce = make([]sync.Once, len(h.FriendPOIs))
-	})
+	h.initCaches()
 	h.minDOnce[i].Do(func() {
-		n := h.FriendPOIs[i]
-		inv := h.invDMax()
 		out := make([]float64, h.Dist.N)
 		for j := range out {
-			best := math.Inf(1)
-			for _, jp := range n {
-				if d := h.Dist.At(j, jp); d < best {
-					best = d
+			out[j] = math.Inf(1)
+		}
+		for _, jp := range h.FriendPOIs[i] {
+			raw, _ := h.friendRow(jp)
+			for j, d := range raw {
+				if d < out[j] {
+					out[j] = d
 				}
 			}
-			out[j] = best * inv
+		}
+		inv := h.invDMax()
+		for j := range out {
+			out[j] *= inv
 		}
 		h.minD[i] = out
 	})
 	return h.minD[i]
 }
 
-// normDist returns the cached shifted normalized distance matrix
-// dn[j'·N+j] = d(j,j')/d_max − 1 ∈ [−1, 0], computed once per head.
-func (h *Hausdorff) normDist() []float64 {
-	h.dnormOnce.Do(func() {
-		inv := h.invDMax()
-		dn := make([]float64, len(h.Dist.D))
-		for idx, d := range h.Dist.D {
-			dn[idx] = d*inv - 1
-		}
-		h.dnorm = dn
-	})
-	return h.dnorm
-}
-
 // invDMax returns the normalization factor 1/d_max (1 when all POIs are
 // co-located, so a degenerate geometry stays finite).
 func (h *Hausdorff) invDMax() float64 {
-	if h.Dist.DMax <= 0 {
+	dmax := h.Dist.DMax()
+	if dmax <= 0 {
 		return 1
 	}
-	return 1 / h.Dist.DMax
+	return 1 / dmax
 }
 
 // hausdorffScratch holds every per-user work buffer of userLoss so a worker
 // can sweep its whole user shard without allocating. Sized for one (J, K, r)
 // model shape.
 type hausdorffScratch struct {
-	xhat  []float64 // J*K raw predictions, slab layout [j*K+k]
-	dpdx  []float64 // J*K ∂p_j/∂x̂_k partial products
-	p     []float64 // J visit probabilities
-	f     []float64 // J term-2 operands
-	finv  []float64 // J reciprocals 1/f_j (harmonic fast path)
-	dLdp  []float64 // J loss-probability gradients
-	slab  []float64 // 2r slab-kernel scratch
-	prefs []float64 // 2(K+1): prefix and suffix no-visit products
+	xhat  []float64   // J*K raw predictions, slab layout [j*K+k]
+	dpdx  []float64   // J*K ∂p_j/∂x̂_k partial products
+	p     []float64   // J visit probabilities
+	f     []float64   // J term-2 operands
+	finv  []float64   // J reciprocals 1/f_j (harmonic fast path)
+	dLdp  []float64   // J loss-probability gradients
+	slab  []float64   // 2r slab-kernel scratch
+	prefs []float64   // 2(K+1): prefix and suffix no-visit products
 	gRow  []float64   // r accumulator for one chain-rule row G[j] = Σ_k C[j][k]·U3[k]
 	hk    *mat.Matrix // K×r chain-rule factor H = Cᵀ·U2
 	q     []float64   // r column sums Σ_j U2[j]⊙G[j]
@@ -253,10 +272,10 @@ func (h *Hausdorff) userLoss(m *Model, i int, grads *Grads, sc *hausdorffScratch
 	// f_j = p_j·d'(j,jp) + (1−p_j)·d_max collapses to p_j·dn + 1: one
 	// multiply-add per (friend, POI) pair, and ∂f_j/∂p_j = dn falls out of the
 	// same cached row in the gradient pass.
-	dnorm := h.normDist()
 	for _, jp := range friendSet {
 		var s float64
-		dnrow := dnorm[jp*h.Dist.N : jp*h.Dist.N+J]
+		_, dnrow := h.friendRow(jp)
+		dnrow = dnrow[:J]
 		if harmonic {
 			// Cache each reciprocal: the gradient pass needs 1/f_j² and a
 			// multiply by the stored reciprocal replaces a second division,

@@ -205,7 +205,7 @@ func TestMinDistancesCached(t *testing.T) {
 		t.Fatalf("minD[2] = %g, want 0", a[2])
 	}
 	// Distances inside the head are normalized by d_max.
-	want := h.Dist.At(0, 2) / h.Dist.DMax
+	want := h.Dist.At(0, 2) / h.Dist.DMax()
 	if math.Abs(a[0]-want) > 1e-12 {
 		t.Fatalf("minD[0] = %g, want d(0,2)/dmax = %g", a[0], want)
 	}

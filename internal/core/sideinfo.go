@@ -10,9 +10,10 @@ import (
 )
 
 // SideInfo bundles the social-spatial side information the TCSS loss heads
-// consume: the POI distance matrix, the location-entropy weights e_j, and
-// the per-user POI sets derived from the TRAINING tensor only (so no test
-// information leaks into the regularizer).
+// consume: the POI geometry (coordinates and d_max, distances computed on
+// demand), the location-entropy weights e_j, and the per-user POI sets
+// derived from the TRAINING tensor only (so no test information leaks into
+// the regularizer).
 type SideInfo struct {
 	Dist     *geo.DistanceMatrix
 	EntropyW []float64 // e_j = exp(−E_j) per POI
@@ -21,15 +22,10 @@ type SideInfo struct {
 	// FriendPOIs[v] is N(v): the sorted union of training POIs visited by
 	// v's friends (Eq 8).
 	FriendPOIs [][]int
-	// Locs, when non-nil, holds the POI coordinates Dist was computed from
-	// (len == Dist.N). BuildSideInfo leaves it nil; the tcss layer fills it
-	// in so snapshot shipping can extend a replica's distance matrix when
-	// the shipped model has grown beyond it.
-	Locs []geo.Point
 }
 
 // BuildSideInfo derives side information from the social graph, the POI
-// distance matrix and the observed training tensor. Location entropy counts,
+// geometry and the observed training tensor. Location entropy counts,
 // for each POI, how many distinct time units each user visited it in — the
 // tensor-level analogue of the paper's check-in multisets Φ.
 func BuildSideInfo(social *graph.Graph, dist *geo.DistanceMatrix, train *tensor.COO) (*SideInfo, error) {

@@ -382,7 +382,7 @@ func Train(x *tensor.COO, side *SideInfo, cfg Config) (*Model, error) {
 // rows are independent, so the build parallelizes over user shards with a
 // bit-for-bit identical result at any worker count.
 func buildZeroOutFilter(m *Model, side *SideInfo, sigmaFrac float64, workers int) [][]bool {
-	sigma := sigmaFrac * side.Dist.DMax
+	sigma := sigmaFrac * side.Dist.DMax()
 	filter := make([][]bool, m.I)
 	par.Do(m.I, par.Clamp(workers, m.I), func(s par.Shard) {
 		for i := s.Start; i < s.End; i++ {

@@ -288,7 +288,7 @@ func TestZeroOutFilterSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigma := 0.05 * fx.side.Dist.DMax
+	sigma := 0.05 * fx.side.Dist.DMax()
 	for i := 0; i < m.I; i++ {
 		own := fx.side.OwnPOIs[i]
 		for j := 0; j < m.J; j++ {

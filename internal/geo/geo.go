@@ -1,7 +1,8 @@
 // Package geo provides the geospatial primitives of the reproduction:
 // lat/lon points, Haversine great-circle distance (the paper's POI distance
-// function), dense POI distance matrices with the maximum pairwise distance
-// d_max, location entropy (Eq 11) for diversity weighting, and clustering
+// function), the POI geometry DistanceMatrix (coordinates, with distances
+// computed on demand and the maximum pairwise distance d_max computed once),
+// location entropy (Eq 11) for diversity weighting, and clustering
 // statistics used by the Figure 12 case study.
 package geo
 
@@ -9,6 +10,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 )
 
 // EarthRadiusKm is the mean Earth radius used by the Haversine formula.
@@ -20,7 +23,9 @@ type Point struct {
 }
 
 // Haversine returns the great-circle distance between a and b in kilometers.
-// It is symmetric, non-negative, and zero only for identical points.
+// It is non-negative, zero only for identical points, and bitwise symmetric:
+// Haversine(a, b) == Haversine(b, a) exactly, because sin is odd and the
+// cosine product commutes.
 func Haversine(a, b Point) float64 {
 	const deg2rad = math.Pi / 180
 	lat1, lat2 := a.Lat*deg2rad, b.Lat*deg2rad
@@ -63,38 +68,79 @@ func Jitter(p Point, sigmaDeg float64, rng *rand.Rand) Point {
 	}
 }
 
-// DistanceMatrix holds pairwise Haversine distances between a POI set plus
-// the maximum distance d_max, which the social Hausdorff loss uses as the
-// penalty for improbable POIs (Eq 10).
+// DistanceMatrix is the POI geometry: the POI coordinates plus the maximum
+// pairwise distance d_max, which the social Hausdorff loss uses as the
+// penalty for improbable POIs (Eq 10). It stores no pairwise distance: At
+// computes each one from the coordinates on demand, so a matrix over N POIs
+// holds O(N) data, however large N is. The loss heads need distances only
+// from each POI to a user's friend-POI set, never all N² pairs at once.
+//
+// d_max is computed at most once, on the first DMax call (an O(N²) scan in
+// time, O(1) in memory), and Grown carries a known d_max forward. Serving
+// never asks for it, so a serving process does no quadratic work.
 type DistanceMatrix struct {
-	N    int
-	D    []float64 // row-major n*n
-	DMax float64
+	N   int
+	pts []Point
+
+	dmaxOnce  sync.Once
+	dmaxKnown atomic.Bool // set after dmax is written, so Grown can read it without waiting
+	dmax      float64
 }
 
-// NewDistanceMatrix computes all pairwise distances between pts. It costs
-// O(n²) time and memory and is computed once per dataset.
+// NewDistanceMatrix returns the geometry of pts in O(n) time and memory.
+// The matrix keeps pts, which the caller must not modify afterwards.
 func NewDistanceMatrix(pts []Point) *DistanceMatrix {
-	n := len(pts)
-	if n == 0 {
+	if len(pts) == 0 {
 		panic("geo: NewDistanceMatrix with no points")
 	}
-	dm := &DistanceMatrix{N: n, D: make([]float64, n*n)}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := Haversine(pts[i], pts[j])
-			dm.D[i*n+j] = d
-			dm.D[j*n+i] = d
-			if d > dm.DMax {
-				dm.DMax = d
+	return &DistanceMatrix{N: len(pts), pts: pts}
+}
+
+// At returns the distance between POIs i and j in kilometers. Haversine is
+// bitwise symmetric, so At(i, j) == At(j, i) exactly.
+func (dm *DistanceMatrix) At(i, j int) float64 { return Haversine(dm.pts[i], dm.pts[j]) }
+
+// Row fills dst[j] = At(i, j) for every POI j < len(dst).
+func (dm *DistanceMatrix) Row(i int, dst []float64) {
+	p := dm.pts[i]
+	for j, q := range dm.pts[:len(dst)] {
+		dst[j] = Haversine(p, q)
+	}
+}
+
+// Point returns the coordinates of POI j.
+func (dm *DistanceMatrix) Point(j int) Point { return dm.pts[j] }
+
+// Bytes is the resident size of the geometry: one Point (two float64) per
+// POI.
+func (dm *DistanceMatrix) Bytes() int64 { return 16 * int64(dm.N) }
+
+// DMax returns the maximum pairwise distance d_max. The first call scans all
+// pairs unless Grown carried the value over; concurrent callers wait for
+// that one scan and every later call is a load.
+func (dm *DistanceMatrix) DMax() float64 {
+	dm.dmaxOnce.Do(func() { dm.setDMax(maxDistance(dm.pts, 0)) })
+	return dm.dmax
+}
+
+func (dm *DistanceMatrix) setDMax(d float64) {
+	dm.dmax = d
+	dm.dmaxKnown.Store(true)
+}
+
+// maxDistance returns the largest Haversine distance between pts[i] and any
+// earlier point, over every i >= from (0 when there is no such pair).
+func maxDistance(pts []Point, from int) float64 {
+	var m float64
+	for i := max(from, 1); i < len(pts); i++ {
+		for _, q := range pts[:i] {
+			if d := Haversine(pts[i], q); d > m {
+				m = d
 			}
 		}
 	}
-	return dm
+	return m
 }
-
-// At returns the distance between POIs i and j in kilometers.
-func (dm *DistanceMatrix) At(i, j int) float64 { return dm.D[i*dm.N+j] }
 
 // Nearest returns the index in candidates whose distance to j is smallest,
 // together with that distance. candidates must be non-empty.

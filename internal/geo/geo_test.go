@@ -96,8 +96,8 @@ func TestDistanceMatrix(t *testing.T) {
 			}
 		}
 	}
-	if dm.DMax != want {
-		t.Fatalf("DMax = %g, want %g", dm.DMax, want)
+	if dm.DMax() != want {
+		t.Fatalf("DMax = %g, want %g", dm.DMax(), want)
 	}
 }
 

@@ -2,12 +2,11 @@ package geo
 
 import "fmt"
 
-// Grown returns a new distance matrix over pts, reusing the receiver's
-// already-computed block: pts must be the full grown point list whose first
-// dm.N entries are the points dm was built from. Only the new-vs-all
-// distances are computed, so growing by Δ POIs costs O(n·Δ) instead of the
-// O(n²) of a full rebuild. The receiver is not modified — published snapshots
-// may keep referencing it.
+// Grown returns the geometry of pts, which must be the full grown point list
+// whose first dm.N entries are the points dm was built from. It costs O(n)
+// when dm's d_max is not yet known, and O(n·Δ) for the Δ new points when it
+// is: only the new-vs-all distances are scanned to carry d_max forward. The
+// receiver is not modified — published snapshots may keep referencing it.
 func (dm *DistanceMatrix) Grown(pts []Point) *DistanceMatrix {
 	n := len(pts)
 	if n < dm.N {
@@ -16,19 +15,10 @@ func (dm *DistanceMatrix) Grown(pts []Point) *DistanceMatrix {
 	if n == dm.N {
 		return dm
 	}
-	out := &DistanceMatrix{N: n, D: make([]float64, n*n), DMax: dm.DMax}
-	for i := 0; i < dm.N; i++ {
-		copy(out.D[i*n:i*n+dm.N], dm.D[i*dm.N:(i+1)*dm.N])
-	}
-	for i := dm.N; i < n; i++ {
-		for j := 0; j < i; j++ {
-			d := Haversine(pts[i], pts[j])
-			out.D[i*n+j] = d
-			out.D[j*n+i] = d
-			if d > out.DMax {
-				out.DMax = d
-			}
-		}
+	out := NewDistanceMatrix(pts)
+	if dm.dmaxKnown.Load() {
+		d := max(dm.dmax, maxDistance(pts, dm.N))
+		out.dmaxOnce.Do(func() { out.setDMax(d) })
 	}
 	return out
 }

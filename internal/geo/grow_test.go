@@ -25,8 +25,8 @@ func TestDistanceMatrixGrown(t *testing.T) {
 			}
 		}
 	}
-	if grown.DMax != full.DMax {
-		t.Errorf("DMax = %g, want %g", grown.DMax, full.DMax)
+	if grown.DMax() != full.DMax() {
+		t.Errorf("DMax = %g, want %g", grown.DMax(), full.DMax())
 	}
 	if base.N != 8 {
 		t.Error("Grown mutated the receiver")

@@ -15,9 +15,9 @@ import (
 // entities if check-ins ever arrive for them.
 //
 // The receiver is not mutated — it may back already-published state. The
-// check-in history is shared with the receiver; the distance cache, when
-// already computed, is extended incrementally (O(n·Δ), see
-// geo.DistanceMatrix.Grown) rather than rebuilt.
+// check-in history is shared with the receiver; the POI geometry, when
+// already built, is extended with geo.DistanceMatrix.Grown, which carries a
+// known d_max forward in O(n·Δ).
 func (d *Dataset) Grown(newUsers []NewUser, newPOIs []POI, minUsers, minPOIs int) (*Dataset, error) {
 	if minUsers < d.NumUsers {
 		minUsers = d.NumUsers

@@ -175,7 +175,8 @@ func (d *Dataset) Locations() []geo.Point {
 	return pts
 }
 
-// Distances returns the (cached) pairwise POI distance matrix.
+// Distances returns the (cached) POI geometry: O(n) coordinates, with
+// pairwise distances computed on demand.
 func (d *Dataset) Distances() *geo.DistanceMatrix {
 	if d.distCache == nil {
 		d.distCache = geo.NewDistanceMatrix(d.Locations())

@@ -187,11 +187,16 @@ type metricsSnapshot struct {
 		Entries int     `json:"entries"`
 	} `json:"cache"`
 
+	// Snapshot reports the served snapshot and its resident memory: factor
+	// storage (as in the model block) and the POI geometry, 16 bytes per
+	// POI — what one process holds per snapshot.
 	Snapshot struct {
-		Generation uint64  `json:"generation"`
-		AgeSeconds float64 `json:"age_seconds"`
-		Swaps      int64   `json:"swaps"`
-		Saves      int64   `json:"saves"`
+		Generation  uint64  `json:"generation"`
+		AgeSeconds  float64 `json:"age_seconds"`
+		Swaps       int64   `json:"swaps"`
+		Saves       int64   `json:"saves"`
+		FactorBytes int64   `json:"factor_bytes"`
+		GeoBytes    int64   `json:"geo_bytes"`
 	} `json:"snapshot"`
 
 	// Replication reports the snapshot-shipping pipeline: shipments this
@@ -328,6 +333,10 @@ func (s *Server) collectMetrics(includeWindows bool) metricsSnapshot {
 		out.Snapshot.AgeSeconds = s.opts.now().Sub(snap.Created).Seconds()
 		out.Model.Storage = snap.Model.Mode.String()
 		out.Model.FactorBytes = snap.Model.FactorBytes()
+		out.Snapshot.FactorBytes = out.Model.FactorBytes
+		if snap.Side != nil && snap.Side.Dist != nil {
+			out.Snapshot.GeoBytes = snap.Side.Dist.Bytes()
+		}
 		out.Model.Users = snap.Model.I
 		out.Model.POIs = snap.Model.J
 		if snap.Model.I > 0 {

@@ -19,22 +19,16 @@ import (
 // payload layout.
 const ShipVersion = 1
 
-// ShippedSide is the dynamic part of core.SideInfo that travels with a
-// shipped snapshot. The POI distance matrix is deliberately excluded: it is
-// derived from static POI geography, identical on every node that loaded the
-// same dataset, and O(J²) — shipping it would dominate the wire size for no
-// information. DecodeShipment grafts the receiver's local distance matrix
-// back in.
+// ShippedSide is the side information that travels with a shipped
+// snapshot: the per-user and per-POI sets and weights, and the POI
+// coordinates the receiver rebuilds the geometry from (O(J), and d_max is
+// recomputed on demand). The coordinates are optional on the wire: a
+// shipment without them decodes against the receiver's own geometry.
 type ShippedSide struct {
 	EntropyW   []float64 `json:"entropy_w"`
 	OwnPOIs    [][]int   `json:"own_pois"`
 	FriendPOIs [][]int   `json:"friend_pois"`
-	// Lats/Lons, when present, are the POI coordinates (len == model.J).
-	// They are O(J) — unlike the O(J²) matrix — and let a replica whose
-	// static distance matrix predates open-world growth extend it
-	// incrementally instead of rejecting the shipment. Optional and
-	// backward compatible: pre-growth shipments simply omit them, and the
-	// wire version stays ShipVersion 1.
+	// Lats/Lons are the POI coordinates (len == model.J), or both absent.
 	Lats []float64 `json:"lats,omitempty"`
 	Lons []float64 `json:"lons,omitempty"`
 }
@@ -42,10 +36,11 @@ type ShippedSide struct {
 // EncodeShipment serializes a snapshot for replication: one outer CRC32-C
 // frame (fault.WriteFramed, version ShipVersion) whose payload is the model
 // in the v5 binary slab format (itself a checksummed frame, so the replica's
-// standard loader verifies it a second time) followed by the dynamic side
-// information as JSON, with an 8-byte little-endian length prefix splitting
-// the two. A single flipped or torn byte anywhere fails the outer CRC on the
-// receiving end with fault.ErrChecksum.
+// standard loader verifies it a second time) followed by the side
+// information, POI coordinates included, as JSON, with an 8-byte
+// little-endian length prefix splitting the two. A single flipped or torn
+// byte anywhere fails the outer CRC on the receiving end with
+// fault.ErrChecksum.
 func EncodeShipment(snap *Snapshot) ([]byte, error) {
 	var model bytes.Buffer
 	if err := snap.Model.SaveBinary(&model, snap.Gen); err != nil {
@@ -56,12 +51,15 @@ func EncodeShipment(snap *Snapshot) ([]byte, error) {
 		OwnPOIs:    snap.Side.OwnPOIs,
 		FriendPOIs: snap.Side.FriendPOIs,
 	}
-	if len(snap.Side.Locs) >= snap.Model.J {
+	if dist := snap.Side.Dist; dist != nil {
+		if dist.N < snap.Model.J {
+			return nil, fmt.Errorf("serve: geometry covers %d POIs, model has %d", dist.N, snap.Model.J)
+		}
 		shipped.Lats = make([]float64, snap.Model.J)
 		shipped.Lons = make([]float64, snap.Model.J)
-		for j := 0; j < snap.Model.J; j++ {
-			shipped.Lats[j] = snap.Side.Locs[j].Lat
-			shipped.Lons[j] = snap.Side.Locs[j].Lon
+		for j := range shipped.Lats {
+			p := dist.Point(j)
+			shipped.Lats[j], shipped.Lons[j] = p.Lat, p.Lon
 		}
 	}
 	side, err := json.Marshal(shipped)
@@ -80,13 +78,11 @@ func EncodeShipment(snap *Snapshot) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// DecodeShipment verifies and decodes a shipment produced by EncodeShipment,
-// grafting dist (the receiver's static POI distance matrix) into the side
-// information. When the shipped model has grown past dist (open-world
-// growth at the primary) and the shipment carries POI coordinates, the
-// matrix is extended incrementally (geo.DistanceMatrix.Grown) — or built
-// from scratch when dist is nil; without coordinates a dimension mismatch
-// is an error. Corruption fails with an error wrapping fault.ErrChecksum;
+// DecodeShipment verifies and decodes a shipment produced by EncodeShipment.
+// The side information's geometry is built from the shipped coordinates in
+// O(J) time and memory; dist, the receiver's own geometry, is used only for
+// a shipment that carries no coordinates, and must then cover exactly the
+// model's POIs. Corruption fails with an error wrapping fault.ErrChecksum;
 // callers keep serving their last good snapshot in that case.
 func DecodeShipment(data []byte, dist *geo.DistanceMatrix) (*core.Model, *core.SideInfo, uint64, error) {
 	version, wire, err := fault.ReadFramed(data)
@@ -115,33 +111,28 @@ func DecodeShipment(data []byte, dist *geo.DistanceMatrix) (*core.Model, *core.S
 		return nil, nil, 0, fmt.Errorf("serve: shipped side info shape (%d users, %d POIs) does not match model %dx%d",
 			len(shipped.OwnPOIs), len(shipped.EntropyW), model.I, model.J)
 	}
-	var pts []geo.Point
-	if len(shipped.Lats) == model.J && len(shipped.Lons) == model.J {
-		pts = make([]geo.Point, model.J)
+	switch {
+	case len(shipped.Lats) == model.J && len(shipped.Lons) == model.J:
+		pts := make([]geo.Point, model.J)
 		for j := range pts {
 			pts[j] = geo.Point{Lat: shipped.Lats[j], Lon: shipped.Lons[j]}
 		}
-	}
-	switch {
-	case dist != nil && dist.N == model.J:
-		// Local matrix matches the shipped model: the normal graft.
-	case pts != nil && dist != nil && dist.N < model.J:
-		dist = dist.Grown(pts)
-	case pts != nil:
 		dist = geo.NewDistanceMatrix(pts)
-	default:
+	case len(shipped.Lats) != 0 || len(shipped.Lons) != 0:
+		return nil, nil, 0, fmt.Errorf("serve: shipment carries %d latitudes and %d longitudes for %d POIs",
+			len(shipped.Lats), len(shipped.Lons), model.J)
+	case dist == nil || dist.N != model.J:
 		n := 0
 		if dist != nil {
 			n = dist.N
 		}
-		return nil, nil, 0, fmt.Errorf("serve: shipment model has %d POIs but local distance matrix covers %d and no coordinates were shipped", model.J, n)
+		return nil, nil, 0, fmt.Errorf("serve: shipment model has %d POIs but local geometry covers %d and no coordinates were shipped", model.J, n)
 	}
 	side := &core.SideInfo{
 		Dist:       dist,
 		EntropyW:   shipped.EntropyW,
 		OwnPOIs:    shipped.OwnPOIs,
 		FriendPOIs: shipped.FriendPOIs,
-		Locs:       pts,
 	}
 	return model, side, gen, nil
 }

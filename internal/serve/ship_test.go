@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"tcss"
 	"tcss/internal/core"
 	"tcss/internal/fault"
 )
@@ -41,8 +42,18 @@ func TestShipmentRoundTrip(t *testing.T) {
 	if model.I != snap.Model.I || model.J != snap.Model.J || model.K != snap.Model.K {
 		t.Fatalf("model shape changed in transit: %dx%dx%d", model.I, model.J, model.K)
 	}
-	if side.Dist != snap.Side.Dist {
-		t.Fatal("local distance matrix was not grafted into the decoded side info")
+	// The geometry is rebuilt from the shipped coordinates: same points, so
+	// the same distances and d_max bit for bit.
+	if side.Dist == snap.Side.Dist || side.Dist.N != model.J {
+		t.Fatalf("decoded geometry not rebuilt from shipped coordinates (N=%d, J=%d)", side.Dist.N, model.J)
+	}
+	for j := 0; j < model.J; j++ {
+		if side.Dist.Point(j) != snap.Side.Dist.Point(j) {
+			t.Fatalf("POI %d shipped at %v, sent %v", j, side.Dist.Point(j), snap.Side.Dist.Point(j))
+		}
+	}
+	if side.Dist.DMax() != snap.Side.Dist.DMax() {
+		t.Fatalf("d_max %v after shipping, %v before", side.Dist.DMax(), snap.Side.Dist.DMax())
 	}
 	// Bit-identical scoring on both ends, the property failover relies on.
 	for _, user := range []int{0, 3, 17} {
@@ -281,4 +292,47 @@ func TestRecordReplication(t *testing.T) {
 	if m.Replication.Syncs != 1 || m.Replication.Failures != 2 || m.Replication.ChecksumRejected != 1 {
 		t.Fatalf("replication counters %+v", m.Replication)
 	}
+}
+
+// TestMetricsSnapshotMemory pins the snapshot block's memory fields: factor
+// bytes as Model.FactorBytes reports them and 16 bytes of geometry per POI,
+// following the published snapshot.
+func TestMetricsSnapshotMemory(t *testing.T) {
+	m, side, err := tcss.SynthServing(20, 37, 4, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewFromSource(&StaticSource{Model: m, Side: side, Gran: tcss.SynthGranularity(4)}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	check := func(model *core.Model) {
+		t.Helper()
+		var doc struct {
+			Snapshot map[string]json.Number `json:"snapshot"`
+		}
+		getJSON(t, hs.URL+"/metrics", &doc)
+		for field, want := range map[string]int64{
+			"factor_bytes": model.FactorBytes(),
+			"geo_bytes":    16 * int64(model.J),
+		} {
+			if got, err := doc.Snapshot[field].Int64(); err != nil || got != want {
+				t.Fatalf("snapshot.%s = %q, want %d", field, doc.Snapshot[field], want)
+			}
+		}
+	}
+	check(m)
+
+	wide, wideSide, err := tcss.SynthServing(20, 90, 4, 3, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Publish(context.Background(), wide, wideSide, srv.Generation()+1); err != nil {
+		t.Fatal(err)
+	}
+	check(wide)
 }

@@ -148,7 +148,6 @@ func (r *Recommender) ObserveOpen(batch ObserveBatch, cfg OnlineConfig) (int, er
 	if err != nil {
 		return 0, fmt.Errorf("%w: growing side info: %v", ErrObserveReverted, err)
 	}
-	side.Locs = ds.Locations()
 	r.Model, r.Train, r.Side, r.Dataset = model, train, side, ds
 	r.Dataset.CheckIns = append(r.Dataset.CheckIns, batch.CheckIns...)
 	return added, nil

@@ -15,10 +15,10 @@ type SideInfo = core.SideInfo
 
 // SynthServing builds a deterministic synthetic serving model: seeded random
 // factor matrices of the requested shape plus minimal side information (a
-// generated POI geography for the distance matrix, uniform entropy weights,
-// empty own/friend POI sets). It skips training entirely, which makes
-// production-scale serving shapes — millions of users — constructible in
-// well under a second.
+// generated POI geography, uniform entropy weights, empty own/friend POI
+// sets). It skips training entirely and does O(users + POIs) work, which
+// makes production-scale serving shapes — millions of users, hundreds of
+// thousands of POIs — constructible in well under a second.
 //
 // Determinism is the point: two processes calling SynthServing with the same
 // arguments get bit-identical models (the factor fill order is fixed, and

@@ -140,7 +140,6 @@ func FitSplit(ds *Dataset, gran Granularity, cfg Config, trainFrac float64) (*Re
 	if err != nil {
 		return nil, err
 	}
-	side.Locs = ds.Locations()
 	m, err := core.Train(train, side, cfg)
 	if err != nil {
 		return nil, err
@@ -185,7 +184,6 @@ func AttachModel(m *Model, ds *Dataset, gran Granularity, cfg Config, trainFrac 
 	if err != nil {
 		return nil, err
 	}
-	side.Locs = ds.Locations()
 	return &Recommender{
 		Model: m, Dataset: ds, Gran: gran,
 		Train: train, Test: test, Side: side, cfg: cfg,
@@ -295,7 +293,6 @@ func (r *Recommender) Observe(checkIns []lbsn.CheckIn, cfg OnlineConfig) (int, e
 	if err != nil {
 		return 0, fmt.Errorf("%w: rebuilding side info: %v", ErrObserveReverted, err)
 	}
-	side.Locs = r.Dataset.Locations()
 	model, err = model.ToStorage(mode)
 	if err != nil {
 		return 0, fmt.Errorf("%w: re-compacting model: %v", ErrObserveReverted, err)
